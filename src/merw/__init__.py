@@ -12,13 +12,7 @@ from .montecarlo import (
     verify_slln,
     verify_superdiffusive,
 )
-from .params import (
-    BudgetError,
-    ModelParams,
-    ParameterError,
-    RegimeError,
-    StepDirection,
-)
+from .params import BudgetError, ModelParams, ParameterError, RegimeError
 from .theory import (
     CovarianceSpec,
     RegimeReport,
@@ -31,21 +25,7 @@ from .theory import (
     memory_exponent,
     sigma_I,
 )
-from .urn import (
-    SpectralData,
-    UrnState,
-    init_urn,
-    mean_replacement_matrix,
-    project_to_walk,
-    urn_step,
-)
-from .walk import (
-    PathSnapshot,
-    WalkState,
-    sample_first_step,
-    sample_step,
-    simulate_path,
-)
+from .urn import SpectralData, mean_replacement_matrix
 
 __version__ = "0.1.0"
 
@@ -57,14 +37,10 @@ __all__ = [
     "EnsembleSummary",
     "ModelParams",
     "ParameterError",
-    "PathSnapshot",
     "RegimeError",
     "RegimeReport",
     "SpectralData",
-    "StepDirection",
-    "UrnState",
     "VerificationReport",
-    "WalkState",
     "classify_regime",
     "cm_covariance",
     "covariance_spec",
@@ -72,18 +48,12 @@ __all__ = [
     "critical_memory",
     "diffusive_covariance",
     "exact_small_n_pmf",
-    "init_urn",
     "mean_replacement_matrix",
     "memory_exponent",
     "project_pmf",
-    "project_to_walk",
     "run_ensemble",
-    "sample_first_step",
-    "sample_step",
     "sigma_I",
-    "simulate_path",
     "simulate_replicas",
-    "urn_step",
     "verify_center_of_mass",
     "verify_critical",
     "verify_diffusive_clt",

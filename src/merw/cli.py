@@ -15,7 +15,7 @@ import secrets
 import sys
 from typing import Sequence
 
-from .ensemble import DEFAULT_STEP_BUDGET, EnsembleConfig, simulate_replicas
+from .ensemble import DEFAULT_STEP_BUDGET, EnsembleConfig, grid_times, simulate_replicas
 from .montecarlo import (
     VerificationReport,
     verify_center_of_mass,
@@ -28,7 +28,7 @@ from .params import BudgetError, ModelParams, ParameterError, RegimeError
 from .theory import CRITICAL, DIFFUSIVE, SUPERDIFFUSIVE, classify_regime
 from .urn import mean_replacement_matrix
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 EXIT_OK = 0
 EXIT_STAT_FAIL = 1
@@ -47,22 +47,12 @@ BATTERY_DEFAULTS = {
 }
 
 
-def _params_dict(params: ModelParams) -> dict:
-    return {
-        "d": params.d,
-        "p": params.p,
-        "p_exact": str(params.p_exact) if params.p_exact is not None else None,
-        "q": params.q,
-        "q_exact": str(params.q_exact) if params.q_exact is not None else None,
-    }
-
-
 def _record(command: str, seed: int | None, params: ModelParams, results) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "command": command,
         "seed": seed,
-        "params": _params_dict(params),
+        "params": params.to_dict(),
         "results": results,
     }
 
@@ -111,7 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sim)
     sim.add_argument("-n", "--horizon", type=int, required=True, help="number of steps")
     sim.add_argument("--replicas", type=int, default=1)
-    sim.add_argument("--engine", choices=("walk", "urn"), default="walk")
     grid = sim.add_mutually_exclusive_group()
     grid.add_argument("--snapshots", type=str, default=None,
                       help="comma list of absolute times in [1, n]; default: final time")
@@ -139,7 +128,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="steps per replica; default depends on the battery")
     ver.add_argument("--replicas", type=int, default=None,
                      help="ensemble size; default depends on the battery")
-    ver.add_argument("--engine", choices=("walk", "urn"), default="walk")
     vgrid = ver.add_mutually_exclusive_group()
     vgrid.add_argument("--fractions", type=str, default=None)
     vgrid.add_argument("--exponents", type=str, default=None)
@@ -178,20 +166,12 @@ def cmd_simulate(args) -> int:
         if not times or times[0] < 1 or times[-1] > n:
             raise ParameterError(f"snapshot times must lie in [1, {n}], got {times}")
     elif args.fractions is not None:
-        cfg_like = _comma_list(args.fractions, float)
-        times = sorted({int(s * n + 1e-9) for s in cfg_like})
-        if not times or times[0] < 1:
-            raise ParameterError(f"fractions {cfg_like} give no valid times at n = {n}")
+        times = grid_times(_comma_list(args.fractions, float), n)
     elif args.exponents is not None:
-        cfg_like = _comma_list(args.exponents, float)
-        times = sorted({int(n**t + 1e-9) for t in cfg_like})
-        if not times or times[0] < 1:
-            raise ParameterError(f"exponents {cfg_like} give no valid times at n = {n}")
+        times = grid_times(_comma_list(args.exponents, float), n, exponent=True)
     else:
         times = [n]
-    positions, _ = simulate_replicas(
-        params, n, times, seed, args.replicas, engine=args.engine
-    )
+    positions, _ = simulate_replicas(params, n, times, seed, args.replicas)
     d = params.d
     if args.format == "csv":
         lines = []
@@ -217,7 +197,6 @@ def cmd_simulate(args) -> int:
             for i, t in enumerate(times)
         ]
         record = _record("simulate", seed, params, {
-            "engine": args.engine,
             "horizon": n,
             "replicas": args.replicas,
             "columns": ["replica", "n"] + [f"x_{k + 1}" for k in range(d)],
@@ -286,7 +265,6 @@ def _run_battery(battery: str, params: ModelParams, args, seed: int) -> Verifica
         replicas=args.replicas if args.replicas is not None else default_r,
         master_seed=seed,
         n=args.horizon if args.horizon is not None else default_n,
-        engine=args.engine,
         step_budget=args.budget,
         track_center_of_mass=(battery == "cm"),
         **_default_grid(battery, args),

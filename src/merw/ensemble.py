@@ -1,4 +1,9 @@
-"""Vectorized ensembles of independent walk or urn replicas.
+"""Vectorized ensembles of independent walk replicas: merw's one simulator.
+
+Each replica carries its per-direction step counts, which are the colour
+counts of the 2d-colour urn, and its position, which is their pairwise
+difference (``urn.project_counts``): the walk and the urn are one process,
+simulated once.
 
 Replica r draws from its own Philox substream keyed by (master_seed, r), so
 results do not depend on how work is batched and rerunning a configuration
@@ -22,15 +27,12 @@ from typing import Sequence
 import numpy as np
 
 from .params import BudgetError, ModelParams, ParameterError
-from .urn import project_counts
 
 #: Steps prefetched per chunk.  Part of the determinism contract: changing it
 #: reassigns draws to steps and therefore changes sampled paths.
 CHUNK_STEPS = 1024
 
 DEFAULT_STEP_BUDGET = 10**9
-
-ENGINES = ("walk", "urn")
 
 
 def replica_generator(master_seed: int, replica: int) -> np.random.Generator:
@@ -39,9 +41,30 @@ def replica_generator(master_seed: int, replica: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seq))
 
 
-def _floor_time(x: float) -> int:
+def _grid_time(value: float, n: int, exponent: bool) -> int:
     # tolerate decimal fractions whose float product lands just below an integer
-    return int(math.floor(x + 1e-9))
+    return int(math.floor((n**value if exponent else value * n) + 1e-9))
+
+
+def grid_times(grid: Sequence[float], n: int, exponent: bool = False) -> tuple[int, ...]:
+    """Unique integer snapshot times of a grid at horizon n, sorted.
+
+    Fractions s give times floor(s*n), exponents t (``exponent=True``) give
+    floor(n**t).  The grid must be non-empty, strictly increasing and inside
+    (0, 1], which also rules out nan and inf, and its smallest time must be
+    at least 1.
+    """
+    grid = tuple(float(g) for g in grid)
+    if not grid:
+        raise ParameterError("the snapshot grid must not be empty")
+    if any(not 0.0 < g <= 1.0 for g in grid):
+        raise ParameterError(f"snapshot grid values must lie in (0, 1], got {grid}")
+    if list(grid) != sorted(set(grid)):
+        raise ParameterError(f"snapshot grid must be strictly increasing, got {grid}")
+    times = sorted({_grid_time(g, n, exponent) for g in grid})
+    if times[0] < 1:
+        raise ParameterError(f"smallest snapshot time is below 1 at horizon n = {n}")
+    return tuple(times)
 
 
 @dataclass(frozen=True)
@@ -50,7 +73,7 @@ class EnsembleConfig:
 
     Snapshot times come from either ``snapshot_fractions`` (times floor(s*n),
     for the linear-time scalings) or ``exponent_times`` (times floor(n**t),
-    for the critical scaling), both sorted in (0, 1].
+    for the critical scaling), both validated by :func:`grid_times`.
     """
 
     params: ModelParams
@@ -59,7 +82,6 @@ class EnsembleConfig:
     n: int
     snapshot_fractions: tuple[float, ...] | None = None
     exponent_times: tuple[float, ...] | None = None
-    engine: str = "walk"
     track_center_of_mass: bool = False
     retain_positions: bool = True
     step_budget: int = DEFAULT_STEP_BUDGET
@@ -69,44 +91,27 @@ class EnsembleConfig:
             raise ParameterError(f"replicas must be >= 2, got {self.replicas}")
         if self.n < 1:
             raise ParameterError(f"horizon n must be >= 1, got {self.n}")
-        if self.engine not in ENGINES:
-            raise ParameterError(f"engine must be one of {ENGINES}, got {self.engine!r}")
         if not 0 <= self.master_seed < 2**64:
             raise ParameterError("master_seed must be an unsigned 64-bit integer")
         if (self.snapshot_fractions is None) == (self.exponent_times is None):
             raise ParameterError(
                 "exactly one of snapshot_fractions and exponent_times must be given"
             )
-        grid = self.snapshot_fractions if self.snapshot_fractions is not None else self.exponent_times
-        grid = tuple(float(g) for g in grid)
-        if not grid:
-            raise ParameterError("the snapshot grid must not be empty")
-        if any(not 0.0 < g <= 1.0 for g in grid):
-            raise ParameterError(f"snapshot grid values must lie in (0, 1], got {grid}")
-        if list(grid) != sorted(set(grid)):
-            raise ParameterError(f"snapshot grid must be strictly increasing, got {grid}")
-        if self.snapshot_fractions is not None:
-            object.__setattr__(self, "snapshot_fractions", grid)
-        else:
-            object.__setattr__(self, "exponent_times", grid)
-        if min(self.snapshot_times()) < 1:
-            raise ParameterError(
-                f"smallest snapshot time is below 1 at horizon n = {self.n}"
-            )
+        exponent = self.snapshot_fractions is None
+        field_name = "exponent_times" if exponent else "snapshot_fractions"
+        grid = tuple(float(g) for g in getattr(self, field_name))
+        grid_times(grid, self.n, exponent)
+        object.__setattr__(self, field_name, grid)
 
     def snapshot_times(self) -> tuple[int, ...]:
         """Unique integer snapshot times implied by the grid, sorted."""
-        if self.snapshot_fractions is not None:
-            times = [_floor_time(s * self.n) for s in self.snapshot_fractions]
-        else:
-            times = [_floor_time(self.n**t) for t in self.exponent_times]
-        return tuple(sorted(set(times)))
+        exponent = self.snapshot_fractions is None
+        grid = self.exponent_times if exponent else self.snapshot_fractions
+        return grid_times(grid, self.n, exponent)
 
     def time_of(self, label: float) -> int:
         """Integer time for one grid value (fraction or exponent)."""
-        if self.snapshot_fractions is not None:
-            return _floor_time(label * self.n)
-        return _floor_time(self.n**label)
+        return _grid_time(label, self.n, self.snapshot_fractions is None)
 
 
 @dataclass
@@ -122,7 +127,6 @@ class EnsembleSummary:
     params: ModelParams
     n: int
     replicas: int
-    engine: str
     master_seed: int
     times: tuple[int, ...]
     mean_position: np.ndarray
@@ -154,7 +158,6 @@ def simulate_replicas(
     snapshot_times: Sequence[int],
     master_seed: int,
     replicas: int,
-    engine: str = "walk",
     track_center_of_mass: bool = False,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Run ``replicas`` independent paths to time n, recording snapshots.
@@ -164,12 +167,11 @@ def simulate_replicas(
     (R, d) array of per-replica running position sums (so G_n = cm_sums / n)
     or None when not tracked.
 
-    The walk engine keeps the position incrementally alongside the step
-    counts; the urn engine evolves colour counts only and projects them at
-    snapshot times.  Both use the identical two-stage draw per step.
+    Per step, a past step is remembered with probability proportional to
+    the colour counts and repeated with probability p, else replaced by a
+    uniform other colour; the position is kept incrementally beside the
+    counts, so it always equals ``project_counts(counts)``.
     """
-    if engine not in ENGINES:
-        raise ParameterError(f"engine must be one of {ENGINES}, got {engine!r}")
     d = params.d
     twod = params.n_colours
     times = sorted(set(int(t) for t in snapshot_times))
@@ -181,14 +183,9 @@ def simulate_replicas(
     generators = [replica_generator(master_seed, r) for r in range(R)]
 
     counts = np.zeros((R, twod), dtype=np.int64)
-    position = np.zeros((R, d), dtype=np.int64) if engine == "walk" else None
+    position = np.zeros((R, d), dtype=np.int64)
     out = np.zeros((R, len(times), d), dtype=np.int64)
     cm = np.zeros((R, d), dtype=np.int64) if track_center_of_mass else None
-    cm_counts = (
-        np.zeros((R, twod), dtype=np.int64)
-        if track_center_of_mass and engine == "urn"
-        else None
-    )
 
     # step 1: designated colour 0 with probability q, else uniform other
     u0 = np.empty(R)
@@ -198,14 +195,11 @@ def simulate_replicas(
         j0[r] = gen.integers(0, twod - 1)
     first = np.where(u0 < params.q, 0, j0 + 1)
     counts[rows, first] += 1
-    if engine == "walk":
-        position[rows, first >> 1] += 1 - ((first & 1) << 1)
-        if cm is not None:
-            cm += position
-    elif cm_counts is not None:
-        cm_counts += counts
+    position[rows, first >> 1] += 1 - ((first & 1) << 1)
+    if cm is not None:
+        cm += position
     if 1 in time_slot:
-        out[:, time_slot[1], :] = position if engine == "walk" else project_counts(counts)
+        out[:, time_slot[1], :] = position
 
     if n >= 2:
         m_buf = np.empty((R, CHUNK_STEPS), dtype=np.int64)
@@ -224,20 +218,12 @@ def simulate_replicas(
                 flipped = jj + (jj >= remembered)
                 nxt = np.where(u_buf[:, k] < p, remembered, flipped)
                 counts[rows, nxt] += 1
-                if engine == "walk":
-                    position[rows, nxt >> 1] += 1 - ((nxt & 1) << 1)
-                    if cm is not None:
-                        cm += position
-                elif cm_counts is not None:
-                    cm_counts += counts
+                position[rows, nxt >> 1] += 1 - ((nxt & 1) << 1)
+                if cm is not None:
+                    cm += position
                 if t in time_slot:
-                    out[:, time_slot[t], :] = (
-                        position if engine == "walk" else project_counts(counts)
-                    )
+                    out[:, time_slot[t], :] = position
             step = hi + 1
-
-    if cm_counts is not None:
-        cm = project_counts(cm_counts)
     return out, cm
 
 
@@ -271,7 +257,6 @@ def run_ensemble(cfg: EnsembleConfig) -> EnsembleSummary:
         times,
         cfg.master_seed,
         cfg.replicas,
-        engine=cfg.engine,
         track_center_of_mass=cfg.track_center_of_mass,
     )
     R = cfg.replicas
@@ -293,7 +278,6 @@ def run_ensemble(cfg: EnsembleConfig) -> EnsembleSummary:
         params=cfg.params,
         n=cfg.n,
         replicas=R,
-        engine=cfg.engine,
         master_seed=cfg.master_seed,
         times=times,
         mean_position=mean,

@@ -11,10 +11,10 @@ results sum to exactly one.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Sequence
 
-from .params import BudgetError, DEFAULT_DESIGNATED, ModelParams, ParameterError, StepDirection
+from .params import BudgetError, ModelParams, ParameterError
 from .urn import added_colour_distribution_exact
-from .walk import step_distribution_exact
 
 #: Largest n enumerated by default, per dimension.  The state space is the
 #: set of weak compositions of n into 2d parts, so it grows quickly with d.
@@ -29,19 +29,42 @@ def n_budget(d: int) -> int:
     return DEFAULT_N_BUDGET.get(d, _FALLBACK_N_BUDGET)
 
 
-def _first_level(params: ModelParams, designated: StepDirection) -> UrnPmf:
+def step_distribution_exact(counts: Sequence[int], params: ModelParams) -> list[Fraction]:
+    """Walk law of the next step given direction counts, as exact rationals.
+
+    Computed as the remembered-direction mixture: each past direction sigma
+    is remembered with weight counts[sigma]/n and then contributes p to
+    itself and (1-p)/(2d-1) to every other direction.
+    """
     twod = params.n_colours
-    if designated.colour >= twod:
-        raise ParameterError(
-            f"designated direction {designated} does not exist in dimension {params.d}"
-        )
+    counts = [int(c) for c in counts]
+    if len(counts) != twod:
+        raise ParameterError(f"expected {twod} direction counts, got {len(counts)}")
+    n = sum(counts)
+    if n <= 0:
+        raise ValueError("step_distribution_exact requires at least one past step")
+    p = params.p_as_fraction()
+    off = (1 - p) / (twod - 1)
+    out = [Fraction(0)] * twod
+    for sigma, count in enumerate(counts):
+        if count == 0:
+            continue
+        weight = Fraction(count, n)
+        for tau in range(twod):
+            out[tau] += weight * (p if tau == sigma else off)
+    return out
+
+
+def _first_level(params: ModelParams) -> UrnPmf:
+    # the first step is +e_1 (colour 0) with probability q, else uniform other
+    twod = params.n_colours
     q = params.q_as_fraction()
     other = (1 - q) / (twod - 1)
     level: UrnPmf = {}
     for colour in range(twod):
         counts = [0] * twod
         counts[colour] = 1
-        level[tuple(counts)] = q if colour == designated.colour else other
+        level[tuple(counts)] = q if colour == 0 else other
     return level
 
 
@@ -72,7 +95,6 @@ def exact_small_n_pmf(
     params: ModelParams,
     n: int,
     engine: str = "walk",
-    designated: StepDirection | None = None,
     max_n: int | None = None,
 ):
     """Exact distribution after n steps, as a map to rational probabilities.
@@ -95,8 +117,7 @@ def exact_small_n_pmf(
             f"enumeration of n = {n} at d = {params.d} exceeds the budget of "
             f"{budget} steps; pass max_n to override"
         )
-    designated = designated or DEFAULT_DESIGNATED
-    level = _first_level(params, designated)
+    level = _first_level(params)
     law = step_distribution_exact if engine == "walk" else added_colour_distribution_exact
     for _ in range(n - 1):
         level = _advance(level, params, law)

@@ -27,21 +27,13 @@ from typing import Sequence
 import numpy as np
 
 from . import theory
-from .ensemble import EnsembleConfig, EnsembleSummary, run_ensemble, simulate_replicas
-from .enumeration import exact_small_n_pmf, n_budget, project_pmf
+from .ensemble import EnsembleConfig, run_ensemble
 from .params import ModelParams, ParameterError, RegimeError
 from .theory import classify_regime
 
 __all__ = [
     "CheckResult",
     "VerificationReport",
-    "EnsembleConfig",
-    "EnsembleSummary",
-    "run_ensemble",
-    "simulate_replicas",
-    "exact_small_n_pmf",
-    "project_pmf",
-    "n_budget",
     "verify_slln",
     "verify_diffusive_clt",
     "verify_critical",
@@ -95,7 +87,6 @@ class VerificationReport:
     params: ModelParams
     n: int
     replicas: int
-    engine: str
     master_seed: int
     checks: list[CheckResult]
     passed: bool
@@ -107,16 +98,9 @@ class VerificationReport:
         return {
             "theorem": self.theorem,
             "regime": self.regime,
-            "params": {
-                "d": self.params.d,
-                "p": self.params.p,
-                "p_exact": str(self.params.p_exact) if self.params.p_exact is not None else None,
-                "q": self.params.q,
-                "q_exact": str(self.params.q_exact) if self.params.q_exact is not None else None,
-            },
+            "params": self.params.to_dict(),
             "n": self.n,
             "replicas": self.replicas,
-            "engine": self.engine,
             "master_seed": self.master_seed,
             "checks": [c.to_dict() for c in self.checks],
             "passed": self.passed,
@@ -132,7 +116,7 @@ class VerificationReport:
     def summary_lines(self) -> list[str]:
         lines = [f"[{self.theorem}] regime={self.regime} d={self.params.d} "
                  f"p={self.params.p} n={self.n} replicas={self.replicas} "
-                 f"engine={self.engine} seed={self.master_seed}"]
+                 f"seed={self.master_seed}"]
         for c in self.checks:
             status = "pass" if c.passed else "FAIL"
             gate = "" if c.gating else " (diagnostic)"
@@ -186,7 +170,6 @@ def _finish(theorem, regime, cfg, checks, t0, notes=None, extras=None) -> Verifi
         params=cfg.params,
         n=cfg.n,
         replicas=cfg.replicas,
-        engine=cfg.engine,
         master_seed=cfg.master_seed,
         checks=checks,
         passed=_verdict(checks),

@@ -1,4 +1,4 @@
-"""Model parameters, step directions and shared exception types.
+"""Model parameters and shared exception types.
 
 The walk lives on the d-dimensional integer lattice and moves along the 2d
 signed unit vectors.  Directions are indexed by an integer "colour" shared
@@ -59,7 +59,7 @@ class ModelParams:
 
     p is the probability of repeating the remembered step; q is the
     probability that the very first step takes the designated direction
-    (+e_1 by default).  Both must lie strictly inside (0, 1).
+    +e_1 (colour 0).  Both must lie strictly inside (0, 1).
 
     ``p_exact``/``q_exact`` hold exact rationals when the inputs were given
     as strings or Fractions; they stay None for float inputs.
@@ -99,35 +99,12 @@ class ModelParams:
     def q_as_fraction(self) -> Fraction:
         return self.q_exact if self.q_exact is not None else Fraction(self.q)
 
-
-@dataclass(frozen=True, order=True)
-class StepDirection:
-    """One of the 2d signed unit vectors, identified by (axis, sign)."""
-
-    axis: int
-    sign: int
-
-    def __post_init__(self):
-        if self.axis < 0:
-            raise ParameterError(f"axis must be nonnegative, got {self.axis}")
-        if self.sign not in (1, -1):
-            raise ParameterError(f"sign must be +1 or -1, got {self.sign}")
-
-    @property
-    def colour(self) -> int:
-        """Canonical colour index: 2*axis for +, 2*axis + 1 for -."""
-        return 2 * self.axis + (0 if self.sign == 1 else 1)
-
-    @classmethod
-    def from_colour(cls, colour: int) -> "StepDirection":
-        if colour < 0:
-            raise ParameterError(f"colour must be nonnegative, got {colour}")
-        return cls(axis=colour // 2, sign=1 if colour % 2 == 0 else -1)
-
-    @classmethod
-    def all_directions(cls, d: int) -> tuple["StepDirection", ...]:
-        return tuple(cls.from_colour(c) for c in range(2 * d))
-
-
-#: Default designated first direction: +e_1.
-DEFAULT_DESIGNATED = StepDirection(axis=0, sign=1)
+    def to_dict(self) -> dict:
+        """JSON form shared by every output record: exact values as strings."""
+        return {
+            "d": self.d,
+            "p": self.p,
+            "p_exact": str(self.p_exact) if self.p_exact is not None else None,
+            "q": self.q,
+            "q_exact": str(self.q_exact) if self.q_exact is not None else None,
+        }

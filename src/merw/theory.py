@@ -179,6 +179,14 @@ def cm_covariance(params: ModelParams) -> np.ndarray:
     return 2.0 / (3.0 * (1.0 - 2.0 * a) * (2.0 - a) * params.d) * np.eye(params.d)
 
 
+def _first_step_mean(params: ModelParams) -> np.ndarray:
+    # E[S_1]: colour 0 (+e_1) with probability q, each other colour (1-q)/(2d-1)
+    twod = params.n_colours
+    xi = np.full(twod, (1.0 - params.q) / (twod - 1))
+    xi[0] = params.q
+    return pairing_matrix(params.d) @ xi
+
+
 def mean_drift(params: ModelParams, n: int) -> np.ndarray:
     """Exact E[S_n]: the projected first-step mean grown along alpha.
 
@@ -188,12 +196,9 @@ def mean_drift(params: ModelParams, n: int) -> np.ndarray:
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    twod = params.n_colours
-    xi = np.full(twod, (1.0 - params.q) / (twod - 1))
-    xi[0] = params.q
     alpha = memory_exponent(params)
     growth = math.exp(math.lgamma(n + alpha) - math.lgamma(n) - math.lgamma(1.0 + alpha))
-    return growth * (pairing_matrix(params.d) @ xi)
+    return growth * _first_step_mean(params)
 
 
 def cm_mean_drift(params: ModelParams, n: int) -> np.ndarray:
@@ -203,10 +208,7 @@ def cm_mean_drift(params: ModelParams, n: int) -> np.ndarray:
     alpha = memory_exponent(params)
     factors = 1.0 + alpha / np.arange(1, n, dtype=np.float64)
     growth = np.concatenate(([1.0], np.cumprod(factors)))
-    twod = params.n_colours
-    xi = np.full(twod, (1.0 - params.q) / (twod - 1))
-    xi[0] = params.q
-    return float(growth.sum()) / n * (pairing_matrix(params.d) @ xi)
+    return float(growth.sum()) / n * _first_step_mean(params)
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,13 @@
-"""The 2d-colour urn that reproduces the walk's law.
+"""Mathematics of the 2d-colour urn that reproduces the walk's law.
 
 One ball is added per drawing: a ball is drawn uniformly, replaced, and a
 ball of the same colour is added with probability p, otherwise a ball of a
-uniformly chosen other colour.  Colour counts then encode the walk's
-per-direction step counts, and the pairwise difference map recovers the
-walk position.  The mean replacement matrix of these dynamics has fully
-explicit spectral data, which is constructed here in closed form.
+uniformly chosen other colour.  Colour counts are the walk's per-direction
+step counts, and the pairwise difference map recovers the walk position, so
+the urn is not simulated on its own: it is read off the ensemble simulation
+through :func:`project_counts`.  This module holds the exact added-colour
+law (for the walk = urn enumeration), the difference map and the closed-form
+spectral data of the mean replacement matrix.
 """
 
 from __future__ import annotations
@@ -16,85 +18,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .params import DEFAULT_DESIGNATED, ModelParams, ParameterError, StepDirection
-
-
-@dataclass
-class UrnState:
-    """Urn composition at time n: counts per colour, summing to n."""
-
-    n: int
-    counts: np.ndarray  # shape (2d,), int64
-
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-
-def init_urn(
-    params: ModelParams,
-    rng: np.random.Generator,
-    designated: StepDirection | None = None,
-) -> UrnState:
-    """Start the urn with a single ball whose colour follows the first-step law."""
-    designated = designated or DEFAULT_DESIGNATED
-    twod = params.n_colours
-    if designated.colour >= twod:
-        raise ParameterError(
-            f"designated direction {designated} does not exist in dimension {params.d}"
-        )
-    counts = np.zeros(twod, dtype=np.int64)
-    if rng.random() < params.q:
-        colour = designated.colour
-    else:
-        colour = int(rng.integers(0, twod - 1))
-        if colour >= designated.colour:
-            colour += 1
-    counts[colour] = 1
-    return UrnState(n=1, counts=counts)
-
-
-def urn_step(state: UrnState, params: ModelParams, rng: np.random.Generator) -> UrnState:
-    """One drawing: returns the urn with one more ball."""
-    if state.n < 1:
-        raise ValueError("urn_step requires an initialized urn (n >= 1); call init_urn first")
-    m = int(rng.integers(0, state.n))
-    cumulative = 0
-    drawn = 0
-    for colour, count in enumerate(state.counts):
-        cumulative += int(count)
-        if m < cumulative:
-            drawn = colour
-            break
-    if rng.random() < params.p:
-        added = drawn
-    else:
-        added = int(rng.integers(0, params.n_colours - 1))
-        if added >= drawn:
-            added += 1
-    counts = state.counts.copy()
-    counts[added] += 1
-    return UrnState(n=state.n + 1, counts=counts)
-
-
-def added_colour_distribution(counts: Sequence[int], params: ModelParams) -> np.ndarray:
-    """Law of the added ball's colour given the current composition.
-
-    Closed form per colour i: p * counts[i]/n + (1-p)/(2d-1) * (n-counts[i])/n.
-    """
-    counts = np.asarray(counts, dtype=np.float64)
-    twod = params.n_colours
-    if counts.shape != (twod,):
-        raise ParameterError(f"expected {twod} colour counts, got shape {counts.shape}")
-    n = counts.sum()
-    if n <= 0:
-        raise ValueError("added_colour_distribution requires a non-empty urn")
-    return params.p * counts / n + (1.0 - params.p) / (twod - 1) * (n - counts) / n
+from .params import ModelParams, ParameterError
 
 
 def added_colour_distribution_exact(
     counts: Sequence[int], params: ModelParams
 ) -> list[Fraction]:
-    """Exact rational version of :func:`added_colour_distribution`."""
+    """Law of the added ball's colour given the current composition, exactly.
+
+    Per colour i: p * counts[i]/n + (1-p)/(2d-1) * (n-counts[i])/n.
+    """
     twod = params.n_colours
     counts = [int(c) for c in counts]
     if len(counts) != twod:
@@ -117,11 +50,6 @@ def project_counts(counts: np.ndarray) -> np.ndarray:
     if counts.shape[-1] % 2 != 0:
         raise ParameterError(f"count vector length must be even, got {counts.shape[-1]}")
     return counts[..., 0::2] - counts[..., 1::2]
-
-
-def project_to_walk(state: UrnState) -> np.ndarray:
-    """Walk position encoded by the urn composition."""
-    return project_counts(state.counts)
 
 
 def pairing_matrix(d: int) -> np.ndarray:

@@ -2,6 +2,7 @@ import json
 from importlib import resources
 
 import jsonschema
+import pytest
 
 from merw.cli import main
 
@@ -99,20 +100,18 @@ def test_simulate_deterministic_rows(capsys, tmp_path):
     assert len(lines) == 4  # header + one final-time row per replica
 
 
-def test_simulate_parity_both_engines(capsys):
-    for engine in ("walk", "urn"):
-        code, out, _ = run_cli(
-            capsys, "simulate", "-d", "2", "-p", "0.5", "-n", "10",
-            "--snapshots", "5,10", "--replicas", "4", "--seed", "3",
-            "--engine", engine,
-        )
-        assert code == 0
-        rows = [line.split(",") for line in out.splitlines()[1:]]
-        assert len(rows) == 8
-        for row in rows:
-            t = int(row[1])
-            l1 = abs(int(row[2])) + abs(int(row[3]))
-            assert l1 <= t and (l1 - t) % 2 == 0
+def test_simulate_parity(capsys):
+    code, out, _ = run_cli(
+        capsys, "simulate", "-d", "2", "-p", "0.5", "-n", "10",
+        "--snapshots", "5,10", "--replicas", "4", "--seed", "3",
+    )
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert len(rows) == 8
+    for row in rows:
+        t = int(row[1])
+        l1 = abs(int(row[2])) + abs(int(row[3]))
+        assert l1 <= t and (l1 - t) % 2 == 0
 
 
 def test_simulate_column_count_follows_dimension(capsys):
@@ -146,6 +145,8 @@ def test_simulate_json_record(capsys):
     assert code == 0
     record = json.loads(out)
     validate_record(record, "simulate.schema.json")
+    assert record["schema_version"] == "2"
+    assert "engine" not in record["results"]
     assert record["seed"] == 5
     assert record["params"]["p_exact"] == "1/2"
     assert record["results"]["columns"] == ["replica", "n", "x_1"]
@@ -177,6 +178,21 @@ def test_simulate_snapshot_validation(capsys):
         "--snapshots", "0,5", "--seed", "0",
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("grid", [
+    pytest.param(("--fractions", "nan"), id="fractions-nan"),
+    pytest.param(("--fractions", "inf"), id="fractions-inf"),
+    pytest.param(("--exponents", "nan"), id="exponents-nan"),
+    pytest.param(("--fractions", "1.0,0.5"), id="unsorted"),
+])
+def test_simulate_rejects_invalid_grids(capsys, grid):
+    code, out, err = run_cli(
+        capsys, "simulate", "-d", "1", "-p", "0.5", "-n", "10", "--seed", "1", *grid
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 def test_simulate_without_seed_prints_one(capsys):

@@ -46,11 +46,6 @@ def test_config_grid_validation():
         make_cfg(snapshot_fractions=(0.001,), n=50)
 
 
-def test_config_engine_validation():
-    with pytest.raises(ParameterError, match="engine"):
-        make_cfg(engine="teleport")
-
-
 def test_snapshot_times_mapping():
     cfg = make_cfg(n=1000, snapshot_fractions=(0.1, 0.5, 1.0))
     assert cfg.snapshot_times() == (100, 500, 1000)
@@ -84,25 +79,14 @@ def test_replica_streams_do_not_depend_on_ensemble_size():
     assert np.array_equal(small.positions, large.positions[:4])
 
 
-def test_walk_and_urn_engines_draw_identical_paths_per_substream():
-    # the two engines realize the same count dynamics from the same draws;
-    # their per-replica paths therefore coincide for equal seeds
-    walk = run_ensemble(make_cfg(replicas=64, n=128, engine="walk"))
-    urn = run_ensemble(make_cfg(replicas=64, n=128, engine="urn"))
-    assert np.array_equal(walk.positions, urn.positions)
-
-
 # ---------------------------------------------------------------- snapshots
 
 def test_snapshot_parity_invariant():
-    for engine in ("walk", "urn"):
-        positions, _ = simulate_replicas(
-            ModelParams(2, 0.5), 10, [5, 10], master_seed=3, replicas=50, engine=engine
-        )
-        for i, t in enumerate((5, 10)):
-            l1 = np.abs(positions[:, i, :]).sum(axis=1)
-            assert np.all(l1 <= t)
-            assert np.all((l1 - t) % 2 == 0)
+    positions, _ = simulate_replicas(ModelParams(2, 0.5), 10, [5, 10], master_seed=3, replicas=50)
+    for i, t in enumerate((5, 10)):
+        l1 = np.abs(positions[:, i, :]).sum(axis=1)
+        assert np.all(l1 <= t)
+        assert np.all((l1 - t) % 2 == 0)
 
 
 def test_single_replica_supported_by_engine():
@@ -126,40 +110,38 @@ def test_retain_positions_flag():
 # ------------------------------------------------- agreement with the law
 
 def test_engine_matches_exact_moments():
-    # strong correctness check: empirical mean/covariance of both engines
-    # against the exact moment recursion at n = 128, with an asymmetric q
+    # strong correctness check: empirical mean/covariance against the exact
+    # moment recursion at n = 128, with an asymmetric q
     d, p, q, n, R = 2, 0.6, 0.7, 128, 20_000
     res = exact_moments(d, p, q, n, times={n // 2, n})
     P = pairing(d)
-    for engine, seed in (("walk", 5), ("urn", 6)):
-        cfg = EnsembleConfig(
-            params=ModelParams(d, p, q),
-            replicas=R,
-            master_seed=seed,
-            n=n,
-            snapshot_fractions=(0.5, 1.0),
-            engine=engine,
-        )
-        summary = run_ensemble(cfg)
-        for time, slot in ((n // 2, 0), (n, 1)):
-            xbar, M = res["recorded"][time]
-            mean_exact = P @ xbar
-            cov_exact = P @ (M - np.outer(xbar, xbar)) @ P.T
-            mean_emp = summary.mean_position[slot]
-            cov_emp = summary.position_cov[slot, slot]
-            se_mean = np.sqrt(np.diag(cov_exact) / R)
-            assert np.all(np.abs(mean_emp - mean_exact) < 4 * se_mean)
-            se_var = np.diag(cov_exact) * np.sqrt(2.0 / (R - 1))
-            assert np.all(np.abs(np.diag(cov_emp) - np.diag(cov_exact)) < 4 * se_var)
-        # cross-time covariance against the propagated second moment
-        xbar_h, _ = res["recorded"][n // 2]
-        xbar_n, _ = res["recorded"][n]
-        cross_exact = P @ (res["cross"][n // 2] - np.outer(xbar_n, xbar_h)) @ P.T
-        cross_emp = summary.position_cov[1, 0]
-        v1 = np.diag(summary.position_cov[0, 0])
-        v2 = np.diag(summary.position_cov[1, 1])
-        se_cross = np.sqrt((v1 * v2 + np.diag(cross_exact) ** 2) / (R - 1))
-        assert np.all(np.abs(np.diag(cross_emp) - np.diag(cross_exact)) < 4 * se_cross)
+    cfg = EnsembleConfig(
+        params=ModelParams(d, p, q),
+        replicas=R,
+        master_seed=5,
+        n=n,
+        snapshot_fractions=(0.5, 1.0),
+    )
+    summary = run_ensemble(cfg)
+    for time, slot in ((n // 2, 0), (n, 1)):
+        xbar, M = res["recorded"][time]
+        mean_exact = P @ xbar
+        cov_exact = P @ (M - np.outer(xbar, xbar)) @ P.T
+        mean_emp = summary.mean_position[slot]
+        cov_emp = summary.position_cov[slot, slot]
+        se_mean = np.sqrt(np.diag(cov_exact) / R)
+        assert np.all(np.abs(mean_emp - mean_exact) < 4 * se_mean)
+        se_var = np.diag(cov_exact) * np.sqrt(2.0 / (R - 1))
+        assert np.all(np.abs(np.diag(cov_emp) - np.diag(cov_exact)) < 4 * se_var)
+    # cross-time covariance against the propagated second moment
+    xbar_h, _ = res["recorded"][n // 2]
+    xbar_n, _ = res["recorded"][n]
+    cross_exact = P @ (res["cross"][n // 2] - np.outer(xbar_n, xbar_h)) @ P.T
+    cross_emp = summary.position_cov[1, 0]
+    v1 = np.diag(summary.position_cov[0, 0])
+    v2 = np.diag(summary.position_cov[1, 1])
+    se_cross = np.sqrt((v1 * v2 + np.diag(cross_exact) ** 2) / (R - 1))
+    assert np.all(np.abs(np.diag(cross_emp) - np.diag(cross_exact)) < 4 * se_cross)
 
 
 def test_center_of_mass_matches_exact_moments():
@@ -168,21 +150,19 @@ def test_center_of_mass_matches_exact_moments():
     P = pairing(d)
     g_mean_exact = (P @ res["T"]) / n
     g_cov_exact = P @ (res["Q"] - np.outer(res["T"], res["T"])) @ P.T / n**2
-    for engine, seed in (("walk", 21), ("urn", 22)):
-        cfg = EnsembleConfig(
-            params=ModelParams(d, p, q),
-            replicas=R,
-            master_seed=seed,
-            n=n,
-            snapshot_fractions=(1.0,),
-            engine=engine,
-            track_center_of_mass=True,
-        )
-        summary = run_ensemble(cfg)
-        se_mean = np.sqrt(g_cov_exact[0, 0] / R)
-        assert abs(summary.cm_mean[0] - g_mean_exact[0]) < 4 * se_mean
-        se_var = g_cov_exact[0, 0] * np.sqrt(2.0 / (R - 1))
-        assert abs(summary.cm_cov[0, 0] - g_cov_exact[0, 0]) < 4 * se_var
+    cfg = EnsembleConfig(
+        params=ModelParams(d, p, q),
+        replicas=R,
+        master_seed=21,
+        n=n,
+        snapshot_fractions=(1.0,),
+        track_center_of_mass=True,
+    )
+    summary = run_ensemble(cfg)
+    se_mean = np.sqrt(g_cov_exact[0, 0] / R)
+    assert abs(summary.cm_mean[0] - g_mean_exact[0]) < 4 * se_mean
+    se_var = g_cov_exact[0, 0] * np.sqrt(2.0 / (R - 1))
+    assert abs(summary.cm_cov[0, 0] - g_cov_exact[0, 0]) < 4 * se_var
 
 
 def test_d1_half_memory_is_simple_walk_scale():
@@ -194,33 +174,37 @@ def test_d1_half_memory_is_simple_walk_scale():
     assert abs(second_moment - n) < 4 * se
 
 
-def test_engine_law_matches_enumeration_chi_square():
-    # empirical law of S_4 from 10^5 vectorized replicas against the exact
+def assert_sampled_law_matches_enumeration(params, n, seed, replicas):
+    # empirical law of S_n from vectorized replicas against the exact
     # rational distribution
-    params = ModelParams(1, "3/4", "1/2")
-    pmf = exact_small_n_pmf(params, 4)
-    positions, _ = simulate_replicas(params, 4, [4], master_seed=17, replicas=100_000)
-    values = positions[:, 0, 0]
-    support = sorted(pmf)
-    observed = [int(np.sum(values == k[0])) for k in support]
-    expected = [float(pmf[k]) * len(values) for k in support]
-    assert stats.chisquare(observed, expected).pvalue > 0.001
-
-
-def test_urn_engine_law_matches_enumeration_chi_square():
-    params = ModelParams(2, "1/2", "0.7")
-    pmf = exact_small_n_pmf(params, 3, max_n=4)
-    positions, _ = simulate_replicas(
-        params, 3, [3], master_seed=19, replicas=50_000, engine="urn"
-    )
+    pmf = exact_small_n_pmf(params, n)
+    positions, _ = simulate_replicas(params, n, [n], master_seed=seed, replicas=replicas)
     tally = {}
-    for row in positions[:, 0, :]:
-        key = tuple(int(x) for x in row)
-        tally[key] = tally.get(key, 0) + 1
+    for row in positions[:, 0, :].tolist():
+        tally[tuple(row)] = tally.get(tuple(row), 0) + 1
+    assert set(tally) <= set(pmf)
     support = sorted(pmf)
     observed = [tally.get(k, 0) for k in support]
-    expected = [float(pmf[k]) * len(positions) for k in support]
+    expected = [float(pmf[k]) * replicas for k in support]
     assert stats.chisquare(observed, expected).pvalue > 0.001
+
+
+def test_engine_law_matches_enumeration_chi_square():
+    assert_sampled_law_matches_enumeration(
+        ModelParams(1, "3/4", "1/2"), 4, seed=17, replicas=100_000
+    )
+
+
+@pytest.mark.parametrize(
+    "n, seed, replicas",
+    [
+        pytest.param(3, 19, 50_000, id="d2-n3"),
+        # n = 1 is the first-step law: +e_1 with probability q, else uniform
+        pytest.param(1, 23, 100_000, id="d2-n1"),
+    ],
+)
+def test_d2_law_matches_enumeration_chi_square(n, seed, replicas):
+    assert_sampled_law_matches_enumeration(ModelParams(2, "1/2", "0.7"), n, seed, replicas)
 
 
 # ---------------------------------------------------------------- summaries

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from merw.enumeration import exact_small_n_pmf, n_budget, project_pmf
-from merw.params import BudgetError, ModelParams, ParameterError, StepDirection
+from merw.params import BudgetError, ModelParams, ParameterError
 
 from tests._oracles import brute_force_walk_pmf
 
@@ -82,15 +82,6 @@ def test_support_parity_and_range():
     for point in pmf:
         l1 = sum(abs(x) for x in point)
         assert l1 <= 4 and l1 % 2 == 0
-
-
-def test_custom_designated_direction_relabels_the_law():
-    params = ModelParams(2, "1/2", "0.7")
-    base = exact_small_n_pmf(params, 2)
-    moved = exact_small_n_pmf(params, 2, designated=StepDirection(axis=1, sign=1))
-    assert base != moved
-    assert {(x2, x1) for (x1, x2) in base} == set(moved)
-    assert base[(2, 0)] == moved[(0, 2)]
 
 
 def test_budget_guard():

@@ -1,15 +1,11 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from merw.params import (
-    DEFAULT_DESIGNATED,
-    ModelParams,
-    ParameterError,
-    StepDirection,
-    parse_probability,
-)
+from merw.params import ModelParams, ParameterError, parse_probability
+from merw.urn import pairing_matrix, project_counts
 
 
 def test_rational_string_inputs_are_exact():
@@ -66,27 +62,20 @@ def test_default_q_is_half():
 
 @given(st.integers(min_value=1, max_value=8))
 def test_colour_index_is_a_bijection(d):
-    directions = StepDirection.all_directions(d)
-    assert len(directions) == 2 * d
-    colours = [s.colour for s in directions]
-    assert sorted(colours) == list(range(2 * d))
-    for direction in directions:
-        assert StepDirection.from_colour(direction.colour) == direction
+    # one ball of each colour projects to each of the 2d signed unit vectors once
+    directions = project_counts(np.eye(2 * d, dtype=np.int64))
+    assert np.all(np.abs(directions).sum(axis=1) == 1)
+    assert len({tuple(v) for v in directions.tolist()}) == 2 * d
+    np.testing.assert_array_equal(pairing_matrix(d) @ np.eye(2 * d), directions.T)
 
 
 def test_colour_pairing_convention():
     # colour 2k is +e_{k+1}, colour 2k+1 is -e_{k+1}
-    assert StepDirection.from_colour(0) == StepDirection(axis=0, sign=1)
-    assert StepDirection.from_colour(1) == StepDirection(axis=0, sign=-1)
-    assert StepDirection.from_colour(4) == StepDirection(axis=2, sign=1)
-    assert DEFAULT_DESIGNATED.colour == 0
-
-
-def test_step_direction_validation():
-    with pytest.raises(ParameterError):
-        StepDirection(axis=0, sign=0)
-    with pytest.raises(ParameterError):
-        StepDirection(axis=-1, sign=1)
+    directions = project_counts(np.eye(6, dtype=np.int64))
+    assert directions[0].tolist() == [1, 0, 0]
+    assert directions[1].tolist() == [-1, 0, 0]
+    assert directions[4].tolist() == [0, 0, 1]
+    assert directions[5].tolist() == [0, 0, -1]
 
 
 @given(st.integers(min_value=1, max_value=1000))

@@ -1,23 +1,17 @@
-import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from merw.enumeration import step_distribution_exact
 from merw.params import ModelParams
 from merw.urn import (
-    UrnState,
-    added_colour_distribution,
     added_colour_distribution_exact,
-    init_urn,
     lambda2_eigenspace_basis,
     mean_replacement_matrix,
     pairing_matrix,
     project_counts,
-    project_to_walk,
-    urn_step,
 )
-from merw.walk import step_distribution, step_distribution_exact
 
 from tests._oracles import compositions
 
@@ -26,61 +20,22 @@ def rng(seed=0):
     return np.random.default_rng(seed)
 
 
-# ------------------------------------------------------------- initial ball
-
-def test_init_single_ball():
-    params = ModelParams(2, 0.5, "0.7")
-    for seed in range(20):
-        state = init_urn(params, rng(seed))
-        assert state.n == 1
-        assert state.counts.sum() == 1
-
-
-def test_init_law_matches_first_step_law():
-    params = ModelParams(2, 0.5, "0.7")
-    g = rng(8)
-    n_draws = 100_000
-    counts = np.zeros(4, dtype=int)
-    for _ in range(n_draws):
-        counts[int(np.argmax(init_urn(params, g).counts))] += 1
-    expected = np.array([0.7, 0.1, 0.1, 0.1])
-    se = np.sqrt(expected * (1 - expected) / n_draws)
-    assert np.all(np.abs(counts / n_draws - expected) < 4 * se)
-
-
-def test_init_nearly_degenerate_q():
-    params = ModelParams(1, 0.5, 0.999)
-    g = rng(77)
-    hits = sum(init_urn(params, g).counts[0] for _ in range(5000))
-    assert hits / 5000 > 0.99
-
-
 # ---------------------------------------------------------------- one draw
 
 def test_urn_step_two_ball_example():
     # counts (1,0), p = 3/4: next composition (2,0) w.p. 3/4, (1,1) w.p. 1/4
-    params = ModelParams(1, 0.75)
-    g = rng(123)
-    n_draws = 40_000
-    same = 0
-    for _ in range(n_draws):
-        state = UrnState(n=1, counts=np.array([1, 0], dtype=np.int64))
-        nxt = urn_step(state, params, g)
-        assert nxt.n == 2 and nxt.counts.sum() == 2
-        same += int(nxt.counts[0] == 2)
-    assert abs(same / n_draws - 0.75) < 4 * math.sqrt(0.1875 / n_draws)
+    law = added_colour_distribution_exact([1, 0], ModelParams(1, 0.75))
+    assert law == [Fraction(3, 4), Fraction(1, 4)]
 
 
 def test_urn_step_requires_a_ball():
-    params = ModelParams(1, 0.5)
-    with pytest.raises(ValueError):
-        urn_step(UrnState(n=0, counts=np.zeros(2, dtype=np.int64)), params, rng())
+    with pytest.raises(ValueError, match="non-empty urn"):
+        added_colour_distribution_exact([0, 0], ModelParams(1, 0.5))
 
 
 def test_added_colour_law_uniform_composition():
-    params = ModelParams(3, 0.4)
-    law = added_colour_distribution([7] * 6, params)
-    assert law == pytest.approx([1 / 6] * 6)
+    law = added_colour_distribution_exact([7] * 6, ModelParams(3, "2/5"))
+    assert law == [Fraction(1, 6)] * 6
 
 
 def test_added_colour_law_matches_walk_step_law():
@@ -95,12 +50,6 @@ def test_added_colour_law_matches_walk_step_law():
                     walk_law = step_distribution_exact(counts, params)
                     assert urn_law == walk_law
                     assert sum(urn_law) == 1
-    float_params = ModelParams(2, 0.6)
-    np.testing.assert_allclose(
-        added_colour_distribution([2, 1, 0, 0], float_params),
-        step_distribution([2, 1, 0, 0], float_params),
-        atol=1e-15,
-    )
 
 
 def test_added_colour_example_value():
@@ -111,13 +60,11 @@ def test_added_colour_example_value():
 # --------------------------------------------------------------- projection
 
 def test_projection_example():
-    state = UrnState(n=8, counts=np.array([3, 1, 2, 2], dtype=np.int64))
-    assert project_to_walk(state).tolist() == [2, 0]
+    assert project_counts(np.array([3, 1, 2, 2], dtype=np.int64)).tolist() == [2, 0]
 
 
 def test_projection_of_balanced_counts_is_zero():
-    state = UrnState(n=12, counts=np.full(4, 3, dtype=np.int64))
-    assert project_to_walk(state).tolist() == [0, 0]
+    assert project_counts(np.full(4, 3, dtype=np.int64)).tolist() == [0, 0]
 
 
 def test_projection_is_linear_batch():

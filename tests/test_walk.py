@@ -1,3 +1,5 @@
+"""The walk's law: the exact next-step law and paths of the one simulator."""
+
 import math
 from fractions import Fraction
 
@@ -6,90 +8,40 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from merw.enumeration import exact_small_n_pmf
-from merw.params import ModelParams, ParameterError, StepDirection
-from merw.walk import (
-    WalkState,
-    sample_first_step,
-    sample_step,
-    simulate_path,
-    step_distribution,
-    step_distribution_exact,
-)
+from merw.ensemble import simulate_replicas
+from merw.enumeration import exact_small_n_pmf, step_distribution_exact
+from merw.params import ModelParams, ParameterError
 
 
 from tests._oracles import compositions
 
 
-def rng(seed=0):
-    return np.random.default_rng(seed)
-
-
 # ---------------------------------------------------------------- first step
 
 def test_first_step_symmetric_d1():
-    params = ModelParams(1, 0.6, 0.5)
-    draws = [sample_first_step(params, rng(3)) for _ in range(1)]
     # q = 1/2 at d = 1 is the symmetric case; check frequencies
-    g = rng(3)
-    hits = sum(sample_first_step(params, g).colour == 0 for _ in range(20_000))
-    assert abs(hits / 20_000 - 0.5) < 4 * math.sqrt(0.25 / 20_000)
-    assert draws[0].colour in (0, 1)
-
-
-def test_first_step_d2_q07_law():
-    # designated +e_1 gets 0.7, the other three directions 0.1 each
-    params = ModelParams(2, 0.5, "0.7")
-    g = rng(12)
-    counts = np.zeros(4, dtype=int)
-    n_draws = 100_000
-    for _ in range(n_draws):
-        counts[sample_first_step(params, g).colour] += 1
-    freqs = counts / n_draws
-    expected = np.array([0.7, 0.1, 0.1, 0.1])
-    se = np.sqrt(expected * (1 - expected) / n_draws)
-    assert np.all(np.abs(freqs - expected) < 4 * se)
-
-
-def test_first_step_million_draw_frequency():
-    # 10^6 draws at q = 0.9: frequency within 3 sqrt(0.09/10^6) of 0.9
-    params = ModelParams(1, 0.5, 0.9)
-    g = rng(99)
-    n_draws = 1_000_000
-    hits = sum(sample_first_step(params, g).colour == 0 for _ in range(n_draws))
-    assert abs(hits / n_draws - 0.9) < 3 * math.sqrt(0.09 / n_draws)
-
-
-def test_first_step_custom_designated():
-    params = ModelParams(2, 0.5, "0.99")
-    g = rng(5)
-    target = StepDirection(axis=1, sign=-1)
-    draws = [sample_first_step(params, g, designated=target) for _ in range(200)]
-    assert sum(d == target for d in draws) > 150
-
-
-def test_first_step_designated_outside_dimension():
-    params = ModelParams(1, 0.5)
-    with pytest.raises(ParameterError):
-        sample_first_step(params, rng(), designated=StepDirection(axis=3, sign=1))
+    params = ModelParams(1, 0.6, 0.5)
+    n_draws = 20_000
+    positions, _ = simulate_replicas(params, 1, [1], master_seed=3, replicas=n_draws)
+    steps = positions[:, 0, 0]
+    assert set(steps.tolist()) <= {-1, 1}
+    hits = int(np.sum(steps == 1))
+    assert abs(hits / n_draws - 0.5) < 4 * math.sqrt(0.25 / n_draws)
 
 
 # ----------------------------------------------------------------- next step
 
 def test_step_law_repeat_probability_d1():
     # one remembered +e_1 step: repeat with probability p
-    params = ModelParams(1, 0.75)
-    law = step_distribution([1, 0], params)
-    assert law == pytest.approx([0.75, 0.25])
-    exact = step_distribution_exact([1, 0], params)
+    exact = step_distribution_exact([1, 0], ModelParams(1, 0.75))
     assert exact == [Fraction(3, 4), Fraction(1, 4)]
 
 
 def test_step_law_uniform_counts_gives_uniform_step():
     for d in (1, 2, 3):
-        params = ModelParams(d, 0.3)
-        law = step_distribution([5] * (2 * d), params)
-        assert law == pytest.approx([1 / (2 * d)] * (2 * d))
+        params = ModelParams(d, "3/10")
+        law = step_distribution_exact([5] * (2 * d), params)
+        assert law == [Fraction(1, 2 * d)] * (2 * d)
 
 
 def test_step_law_two_stage_example():
@@ -97,8 +49,6 @@ def test_step_law_two_stage_example():
     params = ModelParams(2, "3/5")
     exact = step_distribution_exact([2, 1, 0, 0], params)
     assert exact[0] == Fraction(4, 9)
-    law = step_distribution([2, 1, 0, 0], ModelParams(2, 0.6))
-    assert law[0] == pytest.approx(4 / 9)
 
 
 def test_step_law_sums_to_one_everywhere():
@@ -113,86 +63,53 @@ def test_step_law_sums_to_one_everywhere():
                     assert all(w >= 0 for w in exact)
 
 
-def test_step_frequencies_match_law():
-    params = ModelParams(2, 0.6)
-    state = WalkState(
-        n=3,
-        position=np.array([1, 1], dtype=np.int64),
-        direction_counts=np.array([2, 1, 0, 0], dtype=np.int64),
-    )
-    g = rng(7)
-    n_draws = 50_000
-    counts = np.zeros(4, dtype=int)
-    for _ in range(n_draws):
-        counts[sample_step(state, params, g).colour] += 1
-    law = step_distribution([2, 1, 0, 0], params)
-    se = np.sqrt(law * (1 - law) / n_draws)
-    assert np.all(np.abs(counts / n_draws - law) < 4 * se)
-
-
 def test_step_requires_history():
     params = ModelParams(1, 0.5)
-    with pytest.raises(ValueError, match="n >= 1"):
-        sample_step(WalkState.origin(1), params, rng())
+    with pytest.raises(ValueError, match="at least one past step"):
+        step_distribution_exact([0, 0], params)
 
 
 def test_memory_at_one_half_is_not_uniform_for_d2():
     # only d = 1 reduces to the simple walk at p = 1/2: for d >= 2 a repeat
     # probability of 1/2 exceeds the uniform 1/(2d)
-    params = ModelParams(2, 0.5)
-    law = step_distribution([1, 0, 0, 0], params)
-    assert law == pytest.approx([0.5, 1 / 6, 1 / 6, 1 / 6])
-    assert not np.allclose(law, 0.25)
+    law = step_distribution_exact([1, 0, 0, 0], ModelParams(2, "1/2"))
+    assert law == [Fraction(1, 2), Fraction(1, 6), Fraction(1, 6), Fraction(1, 6)]
 
 
 # ------------------------------------------------------------------- paths
 
 def test_single_step_path():
-    params = ModelParams(3, 0.4)
-    snap = simulate_path(params, 1, [1], rng(2))
-    assert snap.times == (1,)
-    assert np.abs(snap.positions[0]).sum() == 1
-
-
-def test_path_snapshot_time_zero_is_origin():
-    params = ModelParams(2, 0.5)
-    snap = simulate_path(params, 5, [0, 5], rng(4))
-    assert snap.times == (0, 5)
-    assert np.all(snap.positions[0] == 0)
+    positions, _ = simulate_replicas(ModelParams(3, 0.4), 1, [1], master_seed=2, replicas=50)
+    assert positions.shape == (50, 1, 3)
+    assert np.all(np.abs(positions[:, 0, :]).sum(axis=1) == 1)
 
 
 def test_empty_snapshot_list_is_valid():
-    params = ModelParams(1, 0.5)
-    snap = simulate_path(params, 10, [], rng(1))
-    assert snap.times == ()
-    assert snap.positions.shape == (0, 1)
+    positions, _ = simulate_replicas(ModelParams(1, 0.5), 10, [], master_seed=1, replicas=2)
+    assert positions.shape == (2, 0, 1)
 
 
 def test_snapshots_out_of_range():
-    params = ModelParams(1, 0.5)
     with pytest.raises(ParameterError):
-        simulate_path(params, 10, [11], rng(1))
+        simulate_replicas(ModelParams(1, 0.5), 10, [11], master_seed=1, replicas=2)
 
 
 def test_path_determinism():
     params = ModelParams(2, 0.7, "0.6")
-    a = simulate_path(params, 200, [50, 200], rng(123))
-    b = simulate_path(params, 200, [50, 200], rng(123))
-    assert a.times == b.times
-    assert np.array_equal(a.positions, b.positions)
+    a, _ = simulate_replicas(params, 200, [50, 200], master_seed=123, replicas=3)
+    b, _ = simulate_replicas(params, 200, [50, 200], master_seed=123, replicas=3)
+    assert np.array_equal(a, b)
 
 
 def test_exact_two_step_law_d1():
     # q=1/2, p=3/4: P(S_2 = +/-2) = 3/8, P(S_2 = 0) = 1/4
     params = ModelParams(1, 0.75, 0.5)
-    g = rng(2024)
     n_paths = 40_000
-    tally = {2: 0, 0: 0, -2: 0}
-    for _ in range(n_paths):
-        snap = simulate_path(params, 2, [2], g)
-        tally[int(snap.positions[0, 0])] += 1
-    observed = [tally[2], tally[0], tally[-2]]
+    positions, _ = simulate_replicas(params, 2, [2], master_seed=2024, replicas=n_paths)
+    values = positions[:, 0, 0]
+    observed = [int(np.sum(values == x)) for x in (2, 0, -2)]
     expected = [n_paths * 3 / 8, n_paths / 4, n_paths * 3 / 8]
+    assert sum(observed) == n_paths
     assert stats.chisquare(observed, expected).pvalue > 0.001
 
 
@@ -200,16 +117,13 @@ def test_path_law_matches_enumeration_at_n4():
     # chi-square of 10^5 sampled paths against the exact n = 4 distribution
     params = ModelParams(1, "3/4", "1/2")
     pmf = exact_small_n_pmf(params, 4)
-    g = rng(31415)
     n_paths = 100_000
-    tally = {}
-    for _ in range(n_paths):
-        snap = simulate_path(params, 4, [4], g)
-        key = int(snap.positions[0, 0])
-        tally[key] = tally.get(key, 0) + 1
+    positions, _ = simulate_replicas(params, 4, [4], master_seed=31415, replicas=n_paths)
+    values = positions[:, 0, 0]
     support = sorted(pmf)
-    observed = [tally.get(k[0], 0) for k in support]
+    observed = [int(np.sum(values == k[0])) for k in support]
     expected = [float(pmf[k]) * n_paths for k in support]
+    assert sum(observed) == n_paths
     assert stats.chisquare(observed, expected).pvalue > 0.001
 
 
@@ -220,21 +134,15 @@ def test_path_law_matches_enumeration_at_n4():
     q=st.floats(min_value=0.05, max_value=0.95),
     n=st.integers(min_value=1, max_value=40),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
+    replicas=st.integers(min_value=1, max_value=4),
 )
-def test_state_invariants_along_any_path(d, p, q, n, seed):
+def test_state_invariants_along_any_path(d, p, q, n, seed, replicas):
     params = ModelParams(d, p, q)
-    g = rng(seed)
-    state = WalkState.origin(d)
-    previous = state.position.copy()
-    previous_t = 0
-    for t in range(1, n + 1):
-        step = sample_first_step(params, g) if t == 1 else sample_step(state, params, g)
-        state.apply(step)
-        assert state.direction_counts.sum() == t
-        rebuilt = state.direction_counts[0::2] - state.direction_counts[1::2]
-        assert np.array_equal(state.position, rebuilt)
-        l1 = int(np.abs(state.position).sum())
-        assert l1 <= t and (l1 - t) % 2 == 0
-        # nearest-neighbour reachability between consecutive looks
-        assert np.abs(state.position - previous).sum() <= t - previous_t
-        previous, previous_t = state.position.copy(), t
+    times = np.arange(1, n + 1)
+    positions, _ = simulate_replicas(params, n, times, seed, replicas)
+    assert positions.shape == (replicas, n, d)
+    # with the origin prepended, every step is one unit move
+    path = np.concatenate([np.zeros((replicas, 1, d), dtype=np.int64), positions], axis=1)
+    assert np.all(np.abs(np.diff(path, axis=1)).sum(axis=2) == 1)
+    l1 = np.abs(positions).sum(axis=2)
+    assert np.all(l1 <= times) and np.all((l1 - times) % 2 == 0)

@@ -9,11 +9,13 @@ entropy and printed to stderr so the run stays reproducible after the fact.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import secrets
 import sys
+from contextlib import nullcontext
 from typing import Sequence
+
+import numpy as np
 
 from .ensemble import DEFAULT_STEP_BUDGET, EnsembleConfig, grid_times, simulate_replicas
 from .montecarlo import (
@@ -34,6 +36,9 @@ EXIT_OK = 0
 EXIT_STAT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+
+#: Rows formatted per write by `merw simulate --format csv|jsonl`.
+BLOCK_ROWS = 1 << 16
 
 VERIFY_SELECTORS = ("slln", "clt", "critical", "superdiffusive", "cm", "all")
 
@@ -173,23 +178,20 @@ def cmd_simulate(args) -> int:
         times = [n]
     positions, _ = simulate_replicas(params, n, times, seed, args.replicas)
     d = params.d
-    if args.format == "csv":
-        lines = []
-        writer_target = _CsvBuffer(lines)
-        writer = csv.writer(writer_target, lineterminator="\n")
-        writer.writerow(["replica", "n"] + [f"x_{k + 1}" for k in range(d)])
-        for r in range(args.replicas):
-            for i, t in enumerate(times):
-                writer.writerow([r, t] + [int(x) for x in positions[r, i]])
-        _emit("".join(lines), args.out)
-    elif args.format == "jsonl":
-        out_lines = []
-        for r in range(args.replicas):
-            for i, t in enumerate(times):
-                out_lines.append(json.dumps(
-                    {"replica": r, "n": t, "x": [int(x) for x in positions[r, i]]}
-                ))
-        _emit("\n".join(out_lines) + "\n", args.out)
+    if args.format in ("csv", "jsonl"):
+        if args.format == "csv":
+            header = ",".join(["replica", "n"] + [f"x_{k + 1}" for k in range(d)]) + "\n"
+            row_format = ",".join(["%d"] * (d + 2)) + "\n"
+        else:
+            header = ""
+            row_format = '{"replica": %d, "n": %d, "x": [' + ", ".join(["%d"] * d) + "]}\n"
+        if args.out is None:
+            target = nullcontext(sys.stdout)
+        else:
+            target = open(args.out, "w", encoding="utf-8")
+        with target as fh:
+            fh.write(header)
+            _write_rows(fh, positions, times, row_format)
     else:
         rows = [
             [r, t] + [int(x) for x in positions[r, i]]
@@ -206,14 +208,21 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-class _CsvBuffer:
-    """Minimal write() target collecting csv module output as strings."""
+def _write_rows(fh, positions: np.ndarray, times, row_format: str) -> None:
+    """Write one (replica, time, x_1..x_d) row per snapshot, replica-major.
 
-    def __init__(self, sink: list):
-        self._sink = sink
-
-    def write(self, text: str):
-        self._sink.append(text)
+    Rows go out in blocks of about ``BLOCK_ROWS``, each block formatted by a
+    single %-operation on ``row_format`` repeated once per row.
+    """
+    R, T, d = positions.shape
+    per_block = max(1, BLOCK_ROWS // T)
+    for r0 in range(0, R, per_block):
+        block = positions[r0:r0 + per_block]
+        rows = np.empty((len(block), T, d + 2), dtype=np.int64)
+        rows[:, :, 0] = np.arange(r0, r0 + len(block))[:, None]
+        rows[:, :, 1] = times
+        rows[:, :, 2:] = block
+        fh.write(row_format * (len(block) * T) % tuple(rows.ravel().tolist()))
 
 
 def cmd_classify(args) -> int:

@@ -12,10 +12,15 @@ step each replica consumes one bounded integer (the remembered draw), one
 uniform (repeat or flip) and one bounded integer (the flip target), with
 the draws prefetched chunk-wise per replica in replica order.
 
-Position moments are accumulated from exact integer snapshot sums in a
-fixed order, so summaries are deterministic; per-replica snapshot positions
-are retained by default for median/fraction diagnostics and can be dropped
-for large ensembles.
+Position moments come from exact integer snapshot sums, so summaries are
+deterministic.  The replica cross-moments sum_r x[r,t,i] x[r,s,j] are one
+float64 BLAS Gram product over the integer positions, which is exact (every
+product and partial sum is an integer below 2^53) while R * max|x|^2 < 2^53
+for the observed positions; diffusive walks have |x| ~ sqrt(n), so this holds
+with a wide margin at every default shape.  Past that guard they are summed
+in int64 (while R * n^2 < 2^62), else in float64.  Per-replica snapshot
+positions are retained by default for median/fraction diagnostics and can be
+dropped for large ensembles.
 """
 
 from __future__ import annotations
@@ -47,12 +52,13 @@ def _grid_time(value: float, n: int, exponent: bool) -> int:
 
 
 def grid_times(grid: Sequence[float], n: int, exponent: bool = False) -> tuple[int, ...]:
-    """Unique integer snapshot times of a grid at horizon n, sorted.
+    """Integer snapshot times of a grid at horizon n, one per grid value.
 
     Fractions s give times floor(s*n), exponents t (``exponent=True``) give
     floor(n**t).  The grid must be non-empty, strictly increasing and inside
-    (0, 1], which also rules out nan and inf, and its smallest time must be
-    at least 1.
+    (0, 1], which also rules out nan and inf; its smallest time must be at
+    least 1, and no two of its values may give the same time, so the times
+    are strictly increasing too.
     """
     grid = tuple(float(g) for g in grid)
     if not grid:
@@ -61,10 +67,19 @@ def grid_times(grid: Sequence[float], n: int, exponent: bool = False) -> tuple[i
         raise ParameterError(f"snapshot grid values must lie in (0, 1], got {grid}")
     if list(grid) != sorted(set(grid)):
         raise ParameterError(f"snapshot grid must be strictly increasing, got {grid}")
-    times = sorted({_grid_time(g, n, exponent) for g in grid})
+    times = tuple(_grid_time(g, n, exponent) for g in grid)
     if times[0] < 1:
         raise ParameterError(f"smallest snapshot time is below 1 at horizon n = {n}")
-    return tuple(times)
+    collisions = [
+        f"{a} and {b} both give time {t}"
+        for a, b, t, u in zip(grid, grid[1:], times, times[1:])
+        if t == u
+    ]
+    if collisions:
+        raise ParameterError(
+            f"snapshot grid values collide at horizon n = {n}: " + "; ".join(collisions)
+        )
+    return times
 
 
 @dataclass(frozen=True)
@@ -104,7 +119,7 @@ class EnsembleConfig:
         object.__setattr__(self, field_name, grid)
 
     def snapshot_times(self) -> tuple[int, ...]:
-        """Unique integer snapshot times implied by the grid, sorted."""
+        """Integer snapshot times implied by the grid, strictly increasing."""
         exponent = self.snapshot_fractions is None
         grid = self.exponent_times if exponent else self.snapshot_fractions
         return grid_times(grid, self.n, exponent)
@@ -202,9 +217,10 @@ def simulate_replicas(
         out[:, time_slot[1], :] = position
 
     if n >= 2:
-        m_buf = np.empty((R, CHUNK_STEPS), dtype=np.int64)
-        u_buf = np.empty((R, CHUNK_STEPS))
-        j_buf = np.empty((R, CHUNK_STEPS), dtype=np.int64)
+        chunk = min(CHUNK_STEPS, n - 1)  # steps 2..n never fill more
+        m_buf = np.empty((R, chunk), dtype=np.int64)
+        u_buf = np.empty((R, chunk))
+        j_buf = np.empty((R, chunk), dtype=np.int64)
         p = params.p
         step = 2
         while step <= n:
@@ -228,6 +244,19 @@ def simulate_replicas(
 
 
 def _cross_moments(positions: np.ndarray, replicas: int, n: int) -> np.ndarray:
+    """Sum over replicas of x[r, t, i] * x[r, s, j], shape (T, T, d, d), as float64.
+
+    Computed as one BLAS Gram product X^T X over X = positions viewed as
+    (R, T*d) in float64.  Every product and every partial sum is then an
+    integer of magnitude at most R * max|x|^2, so while that is below 2^53 the
+    result is exact, bit-identical to the integer sum, in whatever order and on
+    however many threads BLAS sums.
+    """
+    R, T, d = positions.shape
+    peak = int(np.abs(positions).max()) if positions.size else 0
+    if R * peak * peak < 2**53:
+        x = positions.reshape(R, T * d).astype(np.float64)
+        return (x.T @ x).reshape(T, d, T, d).transpose(0, 2, 1, 3)
     # exact in int64 under the default step budget; fall back to float64 when
     # R * n^2 could overflow
     if replicas * n * n < 2**62:

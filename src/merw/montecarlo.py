@@ -288,6 +288,10 @@ def verify_critical(cfg: EnsembleConfig) -> VerificationReport:
         )
     if cfg.exponent_times is None:
         raise ParameterError("verify_critical expects exponent_times, not snapshot_fractions")
+    if cfg.n < 2:
+        raise ParameterError(
+            f"verify_critical needs n >= 2 (it normalizes by log n), got n = {cfg.n}"
+        )
     summary = run_ensemble(cfg)
     params, n, R = cfg.params, cfg.n, cfg.replicas
     d = params.d

@@ -1,10 +1,15 @@
+import csv
+import io
 import json
 from importlib import resources
 
 import jsonschema
 import pytest
 
+from merw import cli
 from merw.cli import main
+from merw.ensemble import simulate_replicas
+from merw.params import ModelParams
 
 
 def run_cli(capsys, *argv):
@@ -185,6 +190,7 @@ def test_simulate_snapshot_validation(capsys):
     pytest.param(("--fractions", "inf"), id="fractions-inf"),
     pytest.param(("--exponents", "nan"), id="exponents-nan"),
     pytest.param(("--fractions", "1.0,0.5"), id="unsorted"),
+    pytest.param(("--fractions", "0.51,0.55"), id="colliding"),
 ])
 def test_simulate_rejects_invalid_grids(capsys, grid):
     code, out, err = run_cli(
@@ -193,6 +199,38 @@ def test_simulate_rejects_invalid_grids(capsys, grid):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+def _reference_rows(fmt, d, n, times, seed, replicas):
+    positions, _ = simulate_replicas(ModelParams(d, "3/4"), n, times, seed, replicas)
+    buf = io.StringIO()
+    if fmt == "csv":
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["replica", "n"] + [f"x_{k + 1}" for k in range(d)])
+        for r in range(replicas):
+            for i, t in enumerate(times):
+                writer.writerow([r, t] + [int(x) for x in positions[r, i]])
+    else:
+        for r in range(replicas):
+            for i, t in enumerate(times):
+                buf.write(json.dumps({"replica": r, "n": t, "x": positions[r, i].tolist()}) + "\n")
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_simulate_rows_match_csv_and_json_reference(capsys, tmp_path, monkeypatch, fmt, d):
+    # 3 snapshots per replica and 2 replicas per block: 11 replicas end on a partial block
+    monkeypatch.setattr(cli, "BLOCK_ROWS", 7)
+    args = ["simulate", "-d", str(d), "-p", "3/4", "-n", "40", "--replicas", "11",
+            "--fractions", "0.25,0.5,1.0", "--seed", "8", "--format", fmt]
+    expected = _reference_rows(fmt, d, 40, [10, 20, 40], 8, 11)
+    code, out, _ = run_cli(capsys, *args)
+    assert code == 0 and out == expected
+    path = tmp_path / f"rows.{fmt}"
+    code, out, _ = run_cli(capsys, *args, "--out", str(path))
+    assert code == 0 and out == ""
+    assert path.read_bytes() == expected.encode()
 
 
 def test_simulate_without_seed_prints_one(capsys):
@@ -221,6 +259,18 @@ def test_verify_regime_mismatch_exits_2(capsys):
     )
     assert code == 2
     assert "p >= p_c" in err and "3/4" in err
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(("critical", "-d", "1", "-p", "3/4", "-n", "1"), id="critical-n1"),
+    pytest.param(("clt", "-d", "1", "-p", "1/2", "-n", "10", "--fractions", "0.51,0.55"),
+                 id="colliding-grid"),
+])
+def test_verify_rejects_degenerate_input(capsys, argv):
+    code, out, err = run_cli(capsys, "verify", *argv, "--replicas", "10", "--seed", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 def test_verify_selector_validation(capsys):

@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from scipy import stats
 
-from merw.ensemble import EnsembleConfig, run_ensemble, simulate_replicas
+from merw.ensemble import EnsembleConfig, _cross_moments, run_ensemble, simulate_replicas
 from merw.enumeration import exact_small_n_pmf
 from merw.params import BudgetError, ModelParams, ParameterError
 
@@ -44,6 +46,13 @@ def test_config_grid_validation():
         make_cfg(snapshot_fractions=())
     with pytest.raises(ParameterError, match="below 1"):
         make_cfg(snapshot_fractions=(0.001,), n=50)
+
+
+def test_config_rejects_grid_values_with_one_time():
+    with pytest.raises(ParameterError, match="0.51 and 0.55 both give time 5"):
+        make_cfg(snapshot_fractions=(0.51, 0.55), n=10)
+    with pytest.raises(ParameterError, match="0.5 and 0.6 both give time 3"):
+        make_cfg(snapshot_fractions=None, exponent_times=(0.5, 0.6, 1.0), n=10)
 
 
 def test_snapshot_times_mapping():
@@ -218,6 +227,42 @@ def test_summary_covariance_symmetry_and_psd():
     assert np.abs(grand - grand.T).max() <= 1e-12
     scale = max(np.abs(grand).max(), 1.0)
     assert np.linalg.eigvalsh(grand).min() >= -1e-12 * scale
+
+
+def _python_cross_moments(positions):
+    """sum_r x[r,t,i] x[r,s,j] in Python ints, rounded once to float64."""
+    R, T, d = positions.shape
+    x = positions.tolist()
+    out = np.empty((T, T, d, d))
+    for t, s, i, j in np.ndindex(T, T, d, d):
+        out[t, s, i, j] = float(sum(x[r][t][i] * x[r][s][j] for r in range(R)))
+    return out
+
+
+def _near_guard(replicas, above):
+    # the largest |x| with R * |x|^2 < 2^53, or the smallest past it
+    peak = math.isqrt((2**53 - 1) // replicas) + above
+    signs = np.array([[[1, -1], [-1, -1]], [[1, 1], [-1, 1]], [[-1, 1], [1, 1]]])
+    return np.stack([signs[r % 3] * (peak - r % 2) for r in range(replicas)])
+
+
+@pytest.mark.parametrize("positions", [
+    pytest.param(
+        simulate_replicas(ModelParams(2, "3/4"), 60, [1, 7, 30, 60], 5, 40)[0],
+        id="simulated"),
+    pytest.param(_near_guard(3, above=0), id="just-below-2^53"),
+    pytest.param(_near_guard(3, above=1), id="just-above-2^53"),
+    # far past the guard a float64 Gram product rounds most sums; int64 stays exact
+    pytest.param(np.random.default_rng(11).integers(-2**27, 2**27, size=(64, 3, 2)),
+                 id="far-above-2^53"),
+    pytest.param(np.zeros((5, 3, 2), dtype=np.int64), id="zeros"),
+])
+def test_cross_moments_are_exact(positions):
+    R, T, d = positions.shape
+    n = int(np.abs(positions).max()) or 1
+    cross = _cross_moments(positions, R, n)
+    assert cross.dtype == np.float64 and cross.shape == (T, T, d, d)
+    assert np.array_equal(cross, _python_cross_moments(positions))
 
 
 def test_summary_standard_errors():

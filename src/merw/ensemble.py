@@ -1,16 +1,28 @@
 """Vectorized ensembles of independent walk replicas: merw's one simulator.
 
-Each replica carries its per-direction step counts, which are the colour
-counts of the 2d-colour urn, and its position, which is their pairwise
-difference (``urn.project_counts``): the walk and the urn are one process,
-simulated once.
+Each replica is one path of the walk and of its 2d-colour urn: the colour
+counts are the per-direction step counts, and the position is their pairwise
+difference (``urn.project_counts``), so the two are one process, simulated
+once.  The kernel keeps per replica the colour CDF, cdf[c] = number of steps
+with colour <= c for c < 2d-1, as (2d-1, R) int32 rows and advances all
+replicas one step at a time with contiguous operations over those rows:
+the remembered colour is the number of rows at or below the remembered
+draw, and the new colour adds one to every row at or above it.  Positions
+are formed only at snapshot times, and the centre of mass from the CDF's
+running sum.
 
 Replica r draws from its own Philox substream keyed by (master_seed, r), so
 results do not depend on how work is batched and rerunning a configuration
-reproduces every path bit for bit.  All replicas advance in lockstep: per
-step each replica consumes one bounded integer (the remembered draw), one
-uniform (repeat or flip) and one bounded integer (the flip target), with
-the draws prefetched chunk-wise per replica in replica order.
+reproduces every path bit for bit.  The draws are exactly those of numpy's
+``Generator`` calls: step 1 takes ``random()`` then ``integers(0, 2d-1)``,
+and each chunk of ``CHUNK_STEPS`` later steps takes ``integers(0, highs)``
+(highs = the step count before each step), ``random(width)`` and
+``integers(0, 2d-1, size=width)``.  They are read as raw Philox words, one
+``random_raw`` call per replica and chunk, and decoded in bulk by numpy's
+rules (Lemire's bounded integers on 32-bit halves, doubles from the top 53
+bits) into step-major buffers; a replica whose chunk meets a rejected draw
+is replayed one draw at a time.  ``tests/test_golden.py`` pins digests of
+the sampled paths, so drift in the kernel or in numpy's streams shows.
 
 Position moments come from exact integer snapshot sums, so summaries are
 deterministic.  The replica cross-moments sum_r x[r,t,i] x[r,s,j] are one
@@ -32,6 +44,7 @@ from typing import Sequence
 import numpy as np
 
 from .params import BudgetError, ModelParams, ParameterError
+from .urn import project_counts
 
 #: Steps prefetched per chunk.  Part of the determinism contract: changing it
 #: reassigns draws to steps and therefore changes sampled paths.
@@ -39,11 +52,39 @@ CHUNK_STEPS = 1024
 
 DEFAULT_STEP_BUDGET = 10**9
 
+#: Largest horizon: the CDF rows are int32, and numpy draws a bounded integer
+#: with a 64-bit rule once its range reaches 2^32, which the decoder does not
+#: implement.
+MAX_STEPS = 2**31 - 1
+
+#: Replicas whose draws are decoded together.
+_DECODE_BLOCK = 256
+
+_TWO32 = np.uint64(2**32)
+
 
 def replica_generator(master_seed: int, replica: int) -> np.random.Generator:
     """The independent substream for one replica: Philox keyed by (seed, r)."""
     seq = np.random.SeedSequence(master_seed, spawn_key=(replica,))
     return np.random.Generator(np.random.Philox(seq))
+
+
+def _check_integer(name: str, value, lo: int, hi: int | None = None) -> int:
+    """``value`` as an int, if it is an integer in [lo, hi] (no upper end when hi is None)."""
+    span = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, np.integer))
+        or value < lo
+        or (hi is not None and value > hi)
+    ):
+        raise ParameterError(f"{name}: expected an integer {span}, got {value!r}")
+    return int(value)
+
+
+def _below(probability: float) -> np.uint64:
+    """The bound b with numpy's double (w >> 11) * 2^-53 < probability iff raw word w < b."""
+    return np.uint64(math.ceil(probability * 2**53) << 11)
 
 
 def _grid_time(value: float, n: int, exponent: bool) -> int:
@@ -102,12 +143,9 @@ class EnsembleConfig:
     step_budget: int = DEFAULT_STEP_BUDGET
 
     def __post_init__(self):
-        if self.replicas < 2:
-            raise ParameterError(f"replicas must be >= 2, got {self.replicas}")
-        if self.n < 1:
-            raise ParameterError(f"horizon n must be >= 1, got {self.n}")
-        if not 0 <= self.master_seed < 2**64:
-            raise ParameterError("master_seed must be an unsigned 64-bit integer")
+        _check_integer("replicas", self.replicas, 2)
+        _check_integer("horizon n", self.n, 1, MAX_STEPS)
+        _check_integer("master_seed", self.master_seed, 0, 2**64 - 1)
         if (self.snapshot_fractions is None) == (self.exponent_times is None):
             raise ParameterError(
                 "exactly one of snapshot_fractions and exponent_times must be given"
@@ -156,15 +194,167 @@ class EnsembleSummary:
         return self.time_index[int(time)]
 
 
-def _draw_chunk(generators, step_lo, step_hi, m_buf, u_buf, j_buf, twod):
-    """Prefetch draws for steps [step_lo, step_hi], one replica row at a time."""
+def _plan(segments, pending: int):
+    """Word spans of the segments for a replica whose pending-half flag is ``pending``.
+
+    A segment is an int (that many raw words, one per double) or an array of
+    bounded-draw highs in [2, 2^32), one 32-bit half each when nothing is
+    rejected.  Halves come low half first from one word, and the high half
+    stays pending, also across raw words.  Returns the (start, stop, pending
+    flag on entry) of each segment and the total word count.
+    """
+    spans, pos = [], 0
+    for seg in segments:
+        words = seg if isinstance(seg, int) else (len(seg) - pending + 1) // 2
+        spans.append((pos, pos + words, pending))
+        if not isinstance(seg, int):
+            pending += 2 * words - len(seg)
+        pos += words
+    return spans, pos
+
+
+def _decode(words, held, spans, segments):
+    """Decode the (G, K) uint64 words of replicas that share one pending flag.
+
+    ``held`` holds their (G,) pending halves, or is None when they hold none.
+    A bounded draw in [0, h) takes a half u and gives (u*h) >> 32; numpy draws
+    again iff (u*h) mod 2^32 < (2^32 - h) mod h.  Returns one (G, len) array
+    per segment (raw words, or the draws as uint32), the rows that met a
+    rejection, whose values must be replayed, and the pending halves after.
+    """
+    G = len(words)
+    rejected = np.zeros(G, dtype=bool)
+    values = []
+    for (start, stop, pending), seg in zip(spans, segments):
+        block = words[:, start:stop]
+        if isinstance(seg, int):
+            values.append(block)
+            continue
+        a = len(seg)
+        if not a:
+            values.append(np.empty((G, 0), dtype=np.uint32))
+            continue
+        halves = block.astype("<u8", copy=False).view("<u4")  # low half of each word first
+        product = np.empty((G, a), dtype=np.uint64)
+        if pending:
+            np.multiply(held, seg[0], out=product[:, 0])
+        np.multiply(halves[:, : a - pending], seg[pending:], out=product[:, pending:])
+        parts = product.astype("<u8", copy=False).view("<u4")
+        rejected |= (parts[:, 0::2] < (_TWO32 - seg) % seg).any(axis=1)
+        values.append(parts[:, 1::2])
+        left_over = pending + 2 * (stop - start) > a
+        held = halves[:, a - pending].astype(np.uint64) if left_over else None
+    return values, rejected, held
+
+
+def _replay(bitgen, words, held, segments):
+    """Decode one replica's segments one draw at a time, by the same rules.
+
+    Starts from the words already fetched for it and takes further words
+    from its own stream once they run out; ``held`` is its pending half or
+    None.  Returns the values of each segment and the pending half after.
+    """
+    fetched = iter(words.tolist())
+
+    def word():
+        w = next(fetched, None)
+        return int(bitgen.random_raw()) if w is None else w
+
+    values = []
+    for seg in segments:
+        if isinstance(seg, int):
+            values.append([word() for _ in range(seg)])
+            continue
+        out = []
+        for h in seg.tolist():
+            threshold = ((1 << 32) - h) % h
+            while True:
+                if held is None:
+                    w = word()
+                    u, held = w & 0xFFFFFFFF, w >> 32
+                else:
+                    u, held = held, None
+                if (u * h) & 0xFFFFFFFF >= threshold:
+                    break
+            out.append((u * h) >> 32)
+        values.append(out)
+    return values, held
+
+
+def _decoded_blocks(bitgens, held, segments):
+    """Draw the segments for every replica, a block of replicas at a time.
+
+    ``held`` (R,) int64 holds each replica's pending half, -1 for none, and is
+    updated in place.  Each replica's words come from one ``random_raw`` call
+    on its own stream, sized for no rejection; the replicas of a block are
+    decoded together per pending flag, and a replica that met a rejection is
+    replayed by :func:`_replay`.  Yields (columns, values): the replicas as a
+    slice or an index array, and one array per segment with a row for each.
+    """
+    plans = {pending: _plan(segments, pending) for pending in (0, 1)}
+    R = len(bitgens)
+    for r0 in range(0, R, _DECODE_BLOCK):
+        r1 = min(R, r0 + _DECODE_BLOCK)
+        # group on the flags as they stand before any replica of the block is redrawn
+        flags = held[r0:r1] >= 0
+        for pending in (0, 1):
+            rows = r0 + np.flatnonzero(flags == bool(pending))
+            if not rows.size:
+                continue
+            spans, total = plans[pending]
+            words = np.empty((rows.size, total), dtype=np.uint64)
+            for i, r in enumerate(rows.tolist()):
+                words[i] = bitgens[r].random_raw(total)
+            start = held[rows].astype(np.uint64) if pending else None
+            values, rejected, end = _decode(words, start, spans, segments)
+            held[rows] = -1 if end is None else end
+            for i in np.flatnonzero(rejected).tolist():
+                replayed, half = _replay(
+                    bitgens[rows[i]], words[i], int(start[i]) if pending else None, segments
+                )
+                for out, part in zip(values, replayed):
+                    out[i] = part
+                held[rows[i]] = -1 if half is None else half
+            yield (slice(r0, r1) if rows.size == r1 - r0 else rows), values
+
+
+def _flip_highs(twod: int, count: int) -> np.ndarray:
+    # at d = 1 the other colour is unique and numpy draws nothing for it
+    return np.full(count if twod > 2 else 0, twod - 1, dtype=np.uint64)
+
+
+def _draw_chunk(bitgens, held, step_lo, step_hi, m_buf, rep_buf, j_buf, twod, repeat_below):
+    """Draw steps [step_lo, step_hi] into the step-major buffers (row k = step step_lo + k).
+
+    Per replica these are numpy's ``integers(0, highs)`` with highs the step
+    count before each step, ``random(width)`` and ``integers(0, 2d-1,
+    size=width)``, in that order: ``m_buf`` gets the remembered draws,
+    ``rep_buf`` 1 where the uniform is below p, else 0, and ``j_buf`` the flip
+    draws (left as they are at d = 1, where they are all 0).
+    """
     width = step_hi - step_lo + 1
-    highs = np.arange(step_lo - 1, step_hi, dtype=np.int64)  # count totals before each step
-    for r, gen in enumerate(generators):
-        m_buf[r, :width] = gen.integers(0, highs)
-        u_buf[r, :width] = gen.random(width)
-        j_buf[r, :width] = gen.integers(0, twod - 1, size=width)
+    skip = int(step_lo == 2)  # step 2 can only remember step 1: no draw
+    if skip:
+        m_buf[0] = 0
+    segments = [
+        np.arange(step_lo - 1 + skip, step_hi, dtype=np.uint64),
+        width,
+        _flip_highs(twod, width),
+    ]
+    for cols, (m, raw, j) in _decoded_blocks(bitgens, held, segments):
+        m_buf[skip:width, cols] = m.T
+        rep_buf[:width, cols] = raw.T < repeat_below
+        if twod > 2:
+            j_buf[:width, cols] = j.T
     return width
+
+
+def _positions(cdf: np.ndarray, total: int) -> np.ndarray:
+    """(R, d) positions from (2d-1, R) colour CDF rows whose colour counts sum to ``total``."""
+    edges = np.zeros((cdf.shape[0] + 2, cdf.shape[1]), dtype=np.int64)
+    edges[1:-1] = cdf
+    edges[-1] = total
+    return project_counts(np.diff(edges, axis=0).T)
 
 
 def simulate_replicas(
@@ -180,66 +370,76 @@ def simulate_replicas(
     Returns (positions, cm_sums): positions has shape (R, T, d) with T the
     number of distinct snapshot times in ascending order; cm_sums is the
     (R, d) array of per-replica running position sums (so G_n = cm_sums / n)
-    or None when not tracked.
+    or None when not tracked.  Requires 1 <= n < 2^31, replicas >= 1, an
+    unsigned 64-bit master seed and integer snapshot times in [1, n].
 
-    Per step, a past step is remembered with probability proportional to
-    the colour counts and repeated with probability p, else replaced by a
-    uniform other colour; the position is kept incrementally beside the
-    counts, so it always equals ``project_counts(counts)``.
+    Step 1 takes colour 0 with probability q, else a uniform other colour.
+    Each later step remembers a uniform past step and repeats its colour with
+    probability p, else takes a uniform other colour.  A replica's state is
+    its colour CDF, cdf[c] = number of steps with colour <= c for c < 2d-1,
+    kept as (2d-1, R) rows: the remembered colour is the number of rows at
+    or below the remembered draw m, and a step of colour x adds one to every
+    row c >= x.  Positions are read off the CDF only at snapshot times, and
+    the centre of mass from the CDF's running sum.
     """
     d = params.d
     twod = params.n_colours
-    times = sorted(set(int(t) for t in snapshot_times))
-    if times and (times[0] < 1 or times[-1] > n):
-        raise ParameterError(f"snapshot times must lie in [1, {n}], got {times}")
+    n = _check_integer("horizon n", n, 1, MAX_STEPS)
+    R = _check_integer("replicas", replicas, 1)
+    master_seed = _check_integer("master_seed", master_seed, 0, 2**64 - 1)
+    times = sorted({_check_integer("snapshot times", t, 1, n) for t in snapshot_times})
     time_slot = {t: i for i, t in enumerate(times)}
-    R = replicas
-    rows = np.arange(R)
-    generators = [replica_generator(master_seed, r) for r in range(R)]
+    bitgens = [replica_generator(master_seed, r).bit_generator for r in range(R)]
+    held = np.full(R, -1, dtype=np.int64)
 
-    counts = np.zeros((R, twod), dtype=np.int64)
-    position = np.zeros((R, d), dtype=np.int64)
+    colour = np.int8 if twod <= 127 else np.int32
     out = np.zeros((R, len(times), d), dtype=np.int64)
-    cm = np.zeros((R, d), dtype=np.int64) if track_center_of_mass else None
 
     # step 1: designated colour 0 with probability q, else uniform other
-    u0 = np.empty(R)
-    j0 = np.empty(R, dtype=np.int64)
-    for r, gen in enumerate(generators):
-        u0[r] = gen.random()
-        j0[r] = gen.integers(0, twod - 1)
-    first = np.where(u0 < params.q, 0, j0 + 1)
-    counts[rows, first] += 1
-    position[rows, first >> 1] += 1 - ((first & 1) << 1)
-    if cm is not None:
-        cm += position
+    first = np.empty(R, dtype=colour)
+    for cols, (raw, j) in _decoded_blocks(bitgens, held, [1, _flip_highs(twod, 1)]):
+        other = j[:, 0] + 1 if twod > 2 else 1
+        first[cols] = np.where(raw[:, 0] < _below(params.q), 0, other)
+    rows_c = np.arange(twod - 1, dtype=colour)[:, None]
+    cdf = (first <= rows_c).astype(np.int32)
+    cm = cdf.astype(np.int64) if track_center_of_mass else None
     if 1 in time_slot:
-        out[:, time_slot[1], :] = position
+        out[:, time_slot[1], :] = _positions(cdf, 1)
 
     if n >= 2:
         chunk = min(CHUNK_STEPS, n - 1)  # steps 2..n never fill more
-        m_buf = np.empty((R, chunk), dtype=np.int64)
-        u_buf = np.empty((R, chunk))
-        j_buf = np.empty((R, chunk), dtype=np.int64)
-        p = params.p
+        m_buf = np.empty((chunk, R), dtype=np.int32)
+        rep_buf = np.empty((chunk, R), dtype=colour)
+        j_buf = np.zeros((chunk, R), dtype=colour)
+        at_or_below = np.empty((twod - 1, R), dtype=bool)
+        remembered = np.empty(R, dtype=colour)
+        nxt = np.empty(R, dtype=colour)
+        repeat_below = _below(params.p)
         step = 2
         while step <= n:
             hi = min(n, step + CHUNK_STEPS - 1)
-            width = _draw_chunk(generators, step, hi, m_buf, u_buf, j_buf, twod)
+            width = _draw_chunk(bitgens, held, step, hi, m_buf, rep_buf, j_buf, twod, repeat_below)
             for k in range(width):
-                t = step + k
-                cdf = counts.cumsum(axis=1)
-                remembered = (m_buf[:, k][:, None] >= cdf).sum(axis=1)
-                jj = j_buf[:, k]
-                flipped = jj + (jj >= remembered)
-                nxt = np.where(u_buf[:, k] < p, remembered, flipped)
-                counts[rows, nxt] += 1
-                position[rows, nxt >> 1] += 1 - ((nxt & 1) << 1)
+                # remembered colour: the number of CDF rows at or below m
+                np.greater_equal(m_buf[k], cdf, out=at_or_below)
+                np.sum(at_or_below, axis=0, dtype=colour, out=remembered)
+                # flip target j + (j >= remembered), then remembered where the step repeats
+                j = j_buf[k]
+                np.greater_equal(j, remembered, out=nxt)
+                nxt += j
+                remembered ^= nxt
+                remembered *= rep_buf[k]
+                nxt ^= remembered
+                np.less_equal(nxt, rows_c, out=at_or_below)
+                cdf += at_or_below
                 if cm is not None:
-                    cm += position
+                    cm += cdf
+                t = step + k
                 if t in time_slot:
-                    out[:, time_slot[t], :] = position
+                    out[:, time_slot[t], :] = _positions(cdf, t)
             step = hi + 1
+    if cm is not None:
+        cm = _positions(cm, n * (n + 1) // 2)
     return out, cm
 
 

@@ -129,3 +129,69 @@ def walk_mean_cov(d, p, q, n):
     mean = P @ xbar
     cov = P @ (M - np.outer(xbar, xbar)) @ P.T
     return mean, cov
+
+
+def lockstep_replicas(
+    d, p, q, n, snapshot_times, master_seed, replicas, track_center_of_mass=False, chunk_steps=1024
+):
+    """Reference ensemble drawn through numpy's ``Generator`` calls, one replica row at a time.
+
+    Replica r draws from Philox keyed by SeedSequence(master_seed, spawn_key=(r,)):
+    step 1 takes ``random()`` then ``integers(0, 2d-1)``; each chunk of up to
+    ``chunk_steps`` later steps takes ``integers(0, highs)`` (highs = the step
+    count before each step), ``random(width)`` and ``integers(0, 2d-1, size=width)``.
+    The position is kept incrementally beside the counts, and the remembered
+    colour is read off the counts' cumulative sum.  Returns (positions (R, T, d),
+    centre-of-mass sums (R, d) or None), like ``simulate_replicas``.
+    """
+    twod = 2 * d
+    times = sorted(set(int(t) for t in snapshot_times))
+    time_slot = {t: i for i, t in enumerate(times)}
+    R = replicas
+    rows = np.arange(R)
+    generators = [
+        np.random.Generator(np.random.Philox(np.random.SeedSequence(master_seed, spawn_key=(r,))))
+        for r in range(R)
+    ]
+    counts = np.zeros((R, twod), dtype=np.int64)
+    position = np.zeros((R, d), dtype=np.int64)
+    out = np.zeros((R, len(times), d), dtype=np.int64)
+    cm = np.zeros((R, d), dtype=np.int64) if track_center_of_mass else None
+
+    def record(t):
+        if cm is not None:
+            cm[:] += position
+        if t in time_slot:
+            out[:, time_slot[t], :] = position
+
+    u0 = np.empty(R)
+    j0 = np.empty(R, dtype=np.int64)
+    for r, gen in enumerate(generators):
+        u0[r] = gen.random()
+        j0[r] = gen.integers(0, twod - 1)
+    first = np.where(u0 < q, 0, j0 + 1)
+    counts[rows, first] += 1
+    position[rows, first >> 1] += 1 - ((first & 1) << 1)
+    record(1)
+
+    step = 2
+    while step <= n:
+        hi = min(n, step + chunk_steps - 1)
+        width = hi - step + 1
+        highs = np.arange(step - 1, hi, dtype=np.int64)
+        m_buf = np.empty((R, width), dtype=np.int64)
+        u_buf = np.empty((R, width))
+        j_buf = np.empty((R, width), dtype=np.int64)
+        for r, gen in enumerate(generators):
+            m_buf[r] = gen.integers(0, highs)
+            u_buf[r] = gen.random(width)
+            j_buf[r] = gen.integers(0, twod - 1, size=width)
+        for k in range(width):
+            remembered = (m_buf[:, k][:, None] >= counts.cumsum(axis=1)).sum(axis=1)
+            jj = j_buf[:, k]
+            nxt = np.where(u_buf[:, k] < p, remembered, jj + (jj >= remembered))
+            counts[rows, nxt] += 1
+            position[rows, nxt >> 1] += 1 - ((nxt & 1) << 1)
+            record(step + k)
+        step = hi + 1
+    return out, cm

@@ -1,0 +1,69 @@
+"""The simulator's draws against numpy's own ``Generator`` calls.
+
+``simulate_replicas`` reads raw Philox words and decodes them by numpy's
+rules; these tests compare it with the per-replica ``Generator`` lockstep
+reference (``tests._oracles.lockstep_replicas``) and its decoder with
+``Generator.integers``/``random`` on the same substreams.
+"""
+
+import numpy as np
+import pytest
+
+from merw.ensemble import CHUNK_STEPS, _decoded_blocks, replica_generator, simulate_replicas
+from merw.params import ModelParams
+
+from tests._oracles import lockstep_replicas
+
+
+@pytest.mark.parametrize(
+    "d, p, q, n, replicas, track_cm",
+    [
+        (1, "3/4", "1/2", 7, 9, True),  # one chunk of even width 6
+        (2, "1/2", "7/10", 1030, 12, False),  # chunks of 1024 and 5 steps
+        (3, "3/10", "1/2", 1027, 10, True),  # chunks of 1024 and 2 steps
+        (2, "9/10", "1/2", 2, 5, True),  # one chunk of one step, no remembered draw
+        (1, "1/2", "1/2", 30_000, 16, True),  # long horizon: rejected draws are replayed
+    ],
+)
+def test_matches_generator_lockstep_reference(d, p, q, n, replicas, track_cm):
+    params = ModelParams(d, p, q)
+    times = sorted({1, (n + 1) // 2, n})
+    seed = 1000 + n
+    expected = lockstep_replicas(
+        d, params.p, params.q, n, times, seed, replicas, track_cm, chunk_steps=CHUNK_STEPS
+    )
+    got = simulate_replicas(params, n, times, seed, replicas, track_center_of_mass=track_cm)
+    np.testing.assert_array_equal(got[0], expected[0])
+    if track_cm:
+        np.testing.assert_array_equal(got[1], expected[1])
+    else:
+        assert got[1] is None and expected[1] is None
+
+
+def test_decoder_matches_numpy_where_half_the_draws_reject():
+    # highs in [2^31, 2^32) reject up to half of all bounded draws, so most
+    # replicas are replayed and their pending halves diverge; every decoded
+    # value and pending half must equal numpy's own calls on the same substream
+    R, seed = 300, 77  # two decode blocks
+    rng = np.random.default_rng(5)
+    bitgens = [replica_generator(seed, r).bit_generator for r in range(R)]
+    reference = [replica_generator(seed, r) for r in range(R)]
+    held = np.full(R, -1, dtype=np.int64)
+    for call, size in enumerate((5, 4, 7)):
+        highs = rng.integers(2**31, 2**32, size=size, dtype=np.uint64)
+        segments = [highs, 2, np.full(3, 5, dtype=np.uint64)]
+        got = [np.zeros((R, size), np.uint64), np.zeros((R, 2), np.uint64), np.zeros((R, 3), np.uint64)]
+        for cols, values in _decoded_blocks(bitgens, held, segments):
+            for out, part in zip(got, values):
+                out[cols] = part
+        for r, gen in enumerate(reference):
+            np.testing.assert_array_equal(got[0][r], gen.integers(0, highs.astype(np.int64)))
+            np.testing.assert_array_equal((got[1][r] >> np.uint64(11)) * 2.0**-53, gen.random(2))
+            np.testing.assert_array_equal(got[2][r], gen.integers(0, 5, size=3))
+            state = gen.bit_generator.state
+            assert held[r] == (state["uinteger"] if state["has_uint32"] else -1)
+            mine = bitgens[r].state
+            assert mine["buffer_pos"] == state["buffer_pos"]
+            np.testing.assert_array_equal(mine["state"]["counter"], state["state"]["counter"])
+        if call == 0:
+            assert 0 < np.count_nonzero(held >= 0) < R  # both pending groups occur next

@@ -63,6 +63,11 @@ def test_snapshot_times_mapping():
     assert cfg.time_of(0.5) == 100
 
 
+def test_config_rejects_horizon_beyond_int32():
+    with pytest.raises(ParameterError, match="horizon"):
+        make_cfg(n=2**31, step_budget=2**40)
+
+
 def test_budget_guard():
     cfg = make_cfg(replicas=100, n=10_000, step_budget=10_000)
     with pytest.raises(BudgetError, match="budget"):
@@ -86,6 +91,26 @@ def test_replica_streams_do_not_depend_on_ensemble_size():
     small = run_ensemble(make_cfg(replicas=4, n=200))
     large = run_ensemble(make_cfg(replicas=16, n=200))
     assert np.array_equal(small.positions, large.positions[:4])
+
+
+@pytest.mark.parametrize(
+    "overrides, match",
+    [
+        (dict(replicas=0), "replicas"),
+        (dict(n=0), "horizon"),
+        (dict(master_seed=-1), "master_seed"),
+        (dict(master_seed=2**64), "master_seed"),
+        (dict(snapshot_times=[2.7]), "snapshot times"),
+        # a bad seed too, so that code without the horizon check fails fast
+        (dict(n=2**31, master_seed=-1), "horizon"),
+    ],
+    ids=["replicas-0", "n-0", "seed-negative", "seed-2^64", "time-2.7", "n-2^31"],
+)
+def test_simulate_replicas_rejects_invalid_input(overrides, match):
+    args = dict(params=ModelParams(2, "1/2"), n=10, snapshot_times=[], master_seed=1, replicas=3)
+    args.update(overrides)
+    with pytest.raises(ParameterError, match=match):
+        simulate_replicas(**args)
 
 
 # ---------------------------------------------------------------- snapshots

@@ -1,0 +1,69 @@
+"""Golden digests of sampled paths: the alarm for kernel or numpy stream drift.
+
+Each case pins the SHA-256 of ``simulate_replicas`` positions (and of the
+centre-of-mass sums where tracked), little-endian int64 in C order.  The
+digests come from numpy's own ``Generator`` calls (the per-replica lockstep
+loop kept as ``tests._oracles.lockstep_replicas``) under numpy 2.4.6, so a
+pass means the paths are bit-identical to numpy's ``integers``/``random``
+sequence.  A failure means either the kernel changed the paths or numpy
+changed its Philox or bounded-integer stream; both change every sampled
+result and must be reported, not re-pinned silently.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from merw.ensemble import simulate_replicas
+from merw.params import ModelParams
+
+
+def _digest(array):
+    return hashlib.sha256(np.ascontiguousarray(array, dtype="<i8").tobytes()).hexdigest()
+
+
+# (id, (d, p, q), n, snapshot times, master_seed, replicas, track_cm)
+CASES = [
+    ("d1-n1", (1, "3/4", "1/2"), 1, [1], 1, 5, True),
+    ("d2-n2", (2, "1/2", "1/2"), 2, [1, 2], 2, 7, False),
+    ("d3-n1025", (3, "3/10", "3/5"), 1025, [1, 2, 512, 1025], 3, 9, True),
+    ("d2-n1026", (2, "9/10", "1/2"), 1026, [1025, 1026], 4, 11, True),
+    ("d1-n3000", (1, "1/4", "1/2"), 3000, [1, 1024, 1025, 2049, 3000], 5, 13, False),
+    # replica 293 meets a rejected bounded draw in its second chunk (steps 1026-2049)
+    ("d2-rejection", (2, "3/4", "1/2"), 2100, [1025, 1026, 2049, 2050, 2100], 31337, 300, True),
+]
+
+GOLDEN = {
+    "d1-n1": (
+        "f7cbc6888bd0d4656645cb43cc33cf7dce87df01c216ba65ad010ae0e6c96717",
+        "f7cbc6888bd0d4656645cb43cc33cf7dce87df01c216ba65ad010ae0e6c96717",
+    ),
+    "d2-n2": ("4bd29e4930579667af7df0208af21e325b5f18a61b3fd8102486f8987656a973", None),
+    "d3-n1025": (
+        "a503eac3ae5be8bb096c65c990778730f977cca4dcd5e069af9e7c4d3c484142",
+        "8990163147076a6f21c1e7cb6b0200a17bd47469a85fa26e207af96522b6cc6c",
+    ),
+    "d2-n1026": (
+        "83978db2431cdac8d600119b0120eb0bd875afb42c57d7f3d8af8274b8ed5c4d",
+        "5a91e1f545da5c1396189899d33620e36ea5a13402c0ccde9c138c6be93e9fa0",
+    ),
+    "d1-n3000": ("7119aa2ca6e6aa96ffddb92cbeb9e229ab8ff794b7e4c9c980cd1fda6a9e867c", None),
+    "d2-rejection": (
+        "cca3c6c16139170c8788aa285582535c39e89a30c17f2b448959ea18f6867927",
+        "cf66c608f5c864dfecef393a99b8ca886a742a140c6233d959eef3071155fd6c",
+    ),
+}
+
+
+def digests(case):
+    _, (d, p, q), n, times, seed, replicas, track_cm = case
+    positions, cm = simulate_replicas(
+        ModelParams(d, p, q), n, times, seed, replicas, track_center_of_mass=track_cm
+    )
+    return _digest(positions), (_digest(cm) if cm is not None else None)
+
+
+@pytest.mark.parametrize("case", CASES, ids=[c[0] for c in CASES])
+def test_sampled_paths_match_golden_digests(case):
+    assert digests(case) == GOLDEN[case[0]]

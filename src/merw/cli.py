@@ -17,17 +17,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .ensemble import DEFAULT_STEP_BUDGET, EnsembleConfig, grid_times, simulate_replicas
-from .montecarlo import (
-    VerificationReport,
-    verify_center_of_mass,
-    verify_critical,
-    verify_diffusive_clt,
-    verify_slln,
-    verify_superdiffusive,
-)
+from .ensemble import DEFAULT_STEP_BUDGET, grid_times, simulate_replicas
+from .montecarlo import BATTERIES
 from .params import BudgetError, ModelParams, ParameterError, RegimeError
-from .theory import CRITICAL, DIFFUSIVE, SUPERDIFFUSIVE, classify_regime
+from .theory import classify_regime
 from .urn import mean_replacement_matrix
 
 SCHEMA_VERSION = "2"
@@ -40,16 +33,7 @@ EXIT_BUDGET = 3
 #: Rows formatted per write by `merw simulate --format csv|jsonl`.
 BLOCK_ROWS = 1 << 16
 
-VERIFY_SELECTORS = ("slln", "clt", "critical", "superdiffusive", "cm", "all")
-
-#: Default ensemble sizes per battery: (n, replicas).
-BATTERY_DEFAULTS = {
-    "clt": (10_000, 10_000),
-    "cm": (10_000, 10_000),
-    "critical": (10_000, 10_000),
-    "superdiffusive": (128_000, 1_000),
-    "slln": (1_000_000, 100),
-}
+VERIFY_SELECTORS = (*BATTERIES, "all")
 
 
 def _record(command: str, seed: int | None, params: ModelParams, results) -> dict:
@@ -248,63 +232,26 @@ def cmd_spectrum(args) -> int:
     return EXIT_OK
 
 
-def _default_grid(battery: str, args) -> dict:
-    """Snapshot grid for one battery, honouring explicit --fractions/--exponents."""
-    if args.fractions is not None:
-        return {"snapshot_fractions": _comma_list(args.fractions, float)}
-    if args.exponents is not None:
-        return {"exponent_times": _comma_list(args.exponents, float)}
-    if battery == "clt":
-        return {"snapshot_fractions": (0.5, 1.0)}
-    if battery == "cm":
-        return {"snapshot_fractions": (1.0,)}
-    if battery == "critical":
-        return {"exponent_times": (1.0,)}
-    if battery == "superdiffusive":
-        return {"snapshot_fractions": tuple(2.0**-k for k in range(7, -1, -1))}
-    if battery == "slln":
-        return {"snapshot_fractions": (1e-3, 1e-2, 1e-1, 1.0)}
-    raise ParameterError(f"unknown battery {battery!r}")
-
-
-def _run_battery(battery: str, params: ModelParams, args, seed: int) -> VerificationReport:
-    default_n, default_r = BATTERY_DEFAULTS[battery]
-    cfg = EnsembleConfig(
-        params=params,
-        replicas=args.replicas if args.replicas is not None else default_r,
-        master_seed=seed,
-        n=args.horizon if args.horizon is not None else default_n,
-        step_budget=args.budget,
-        track_center_of_mass=(battery == "cm"),
-        **_default_grid(battery, args),
-    )
-    runner = {
-        "clt": verify_diffusive_clt,
-        "cm": verify_center_of_mass,
-        "critical": verify_critical,
-        "superdiffusive": verify_superdiffusive,
-        "slln": verify_slln,
-    }[battery]
-    return runner(cfg)
-
-
 def cmd_verify(args) -> int:
     params = _parse_params(args)
     seed = _resolve_seed(args)
     if args.theorem == "all":
-        regime = classify_regime(params).regime
-        batteries = ["slln"]
-        if regime == DIFFUSIVE:
-            batteries += ["clt", "cm"]
-        elif regime == CRITICAL:
-            batteries += ["critical"]
-        elif regime == SUPERDIFFUSIVE:
-            batteries += ["superdiffusive"]
+        batteries = [b for b in BATTERIES.values() if b.applies(params)]
     else:
-        batteries = [args.theorem]
+        batteries = [BATTERIES[args.theorem]]
+    grid = {}
+    if args.fractions is not None:
+        grid["snapshot_fractions"] = _comma_list(args.fractions, float)
+    if args.exponents is not None:
+        grid["exponent_times"] = _comma_list(args.exponents, float)
+    # every selected battery's input is checked before any of them runs
+    configs = [
+        b.config(params, seed, args.horizon, args.replicas, step_budget=args.budget, **grid)
+        for b in batteries
+    ]
     reports = []
-    for battery in batteries:
-        report = _run_battery(battery, params, args, seed)
+    for battery, cfg in zip(batteries, configs):
+        report = battery.runner(cfg)
         reports.append(report)
         for line in report.summary_lines():
             print(line)

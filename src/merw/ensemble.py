@@ -30,15 +30,14 @@ float64 BLAS Gram product over the integer positions, which is exact (every
 product and partial sum is an integer below 2^53) while R * max|x|^2 < 2^53
 for the observed positions; diffusive walks have |x| ~ sqrt(n), so this holds
 with a wide margin at every default shape.  Past that guard they are summed
-in int64 (while R * n^2 < 2^62), else in float64.  Per-replica snapshot
-positions are retained by default for median/fraction diagnostics and can be
-dropped for large ensembles.
+in int64 (while R * n^2 < 2^62), else in float64.  The per-replica snapshot
+positions are kept in the summary for median and fraction diagnostics.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -129,7 +128,9 @@ class EnsembleConfig:
 
     Snapshot times come from either ``snapshot_fractions`` (times floor(s*n),
     for the linear-time scalings) or ``exponent_times`` (times floor(n**t),
-    for the critical scaling), both validated by :func:`grid_times`.
+    for the critical scaling), both validated by :func:`grid_times`.  A
+    configuration whose total step count R * n exceeds ``step_budget`` is
+    refused when it is built.
     """
 
     params: ModelParams
@@ -139,13 +140,19 @@ class EnsembleConfig:
     snapshot_fractions: tuple[float, ...] | None = None
     exponent_times: tuple[float, ...] | None = None
     track_center_of_mass: bool = False
-    retain_positions: bool = True
     step_budget: int = DEFAULT_STEP_BUDGET
 
     def __post_init__(self):
         _check_integer("replicas", self.replicas, 2)
         _check_integer("horizon n", self.n, 1, MAX_STEPS)
         _check_integer("master_seed", self.master_seed, 0, 2**64 - 1)
+        total_steps = self.replicas * self.n
+        if total_steps > self.step_budget:
+            raise BudgetError(
+                f"ensemble needs {self.replicas} x {self.n} = {total_steps} steps, "
+                f"exceeding the step budget of {self.step_budget}; raise step_budget "
+                "to run anyway"
+            )
         if (self.snapshot_fractions is None) == (self.exponent_times is None):
             raise ParameterError(
                 "exactly one of snapshot_fractions and exponent_times must be given"
@@ -169,12 +176,12 @@ class EnsembleConfig:
 
 @dataclass
 class EnsembleSummary:
-    """Moments of snapshot positions across replicas, plus optional raw data.
+    """Moments of snapshot positions across replicas, plus the raw positions.
 
     ``mean_position``, ``position_cov`` and ``mean_se`` are raw (integer
     position) moments: shape (T, d), (T, T, d, d) and (T, d); verification
     layers apply the regime-appropriate normalization.  ``positions`` is the
-    (R, T, d) array of raw snapshot positions when retained.
+    (R, T, d) array of raw snapshot positions.
     """
 
     params: ModelParams
@@ -185,13 +192,9 @@ class EnsembleSummary:
     mean_position: np.ndarray
     position_cov: np.ndarray
     mean_se: np.ndarray
-    positions: np.ndarray | None = None
+    positions: np.ndarray
     cm_mean: np.ndarray | None = None
     cm_cov: np.ndarray | None = None
-    time_index: dict = field(default_factory=dict)
-
-    def index_of(self, time: int) -> int:
-        return self.time_index[int(time)]
 
 
 def _plan(segments, pending: int):
@@ -469,16 +472,8 @@ def _cross_moments(positions: np.ndarray, replicas: int, n: int) -> np.ndarray:
 def run_ensemble(cfg: EnsembleConfig) -> EnsembleSummary:
     """Simulate the configured ensemble and summarize its snapshot moments.
 
-    Deterministic given the configuration; refuses to run when the total
-    step count R * n exceeds the configured budget.
+    Deterministic given the configuration.
     """
-    total_steps = cfg.replicas * cfg.n
-    if total_steps > cfg.step_budget:
-        raise BudgetError(
-            f"ensemble needs {cfg.replicas} x {cfg.n} = {total_steps} steps, "
-            f"exceeding the step budget of {cfg.step_budget}; raise step_budget "
-            "to run anyway"
-        )
     times = cfg.snapshot_times()
     positions, cm = simulate_replicas(
         cfg.params,
@@ -512,8 +507,7 @@ def run_ensemble(cfg: EnsembleConfig) -> EnsembleSummary:
         mean_position=mean,
         position_cov=cov,
         mean_se=se,
-        positions=positions if cfg.retain_positions else None,
+        positions=positions,
         cm_mean=cm_mean,
         cm_cov=cm_cov,
-        time_index={t: i for i, t in enumerate(times)},
     )

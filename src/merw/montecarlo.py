@@ -12,26 +12,35 @@ at these replica counts even though it vanishes in the limit.
 
 Standard errors use normal-theory approximations (variance SE of
 v*sqrt(2/(R-1)), covariance SE from the bivariate-normal formula), which is
-adequate for the Gaussian-limit statistics under test.  Superdiffusive
-checks use ratio statistics so that nothing needs to be known about the law
-of the non-Gaussian limit.
+adequate for the Gaussian-limit statistics under test.  The diffusive CLT and
+the critical Brownian limit share one check body and differ only in kernel,
+time scale and normalization.  Superdiffusive checks use ratio statistics so
+that nothing needs to be known about the law of the non-Gaussian limit.
+
+``BATTERIES`` is the one registry of the batteries: each entry names its
+runner, the regime it applies to, its default shape and grid, and the
+domain every runner checks its input against.  The CLI and the acceptance
+suite read their battery shapes from it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from . import theory
-from .ensemble import EnsembleConfig, run_ensemble
+from .ensemble import DEFAULT_STEP_BUDGET, EnsembleConfig, run_ensemble
 from .params import ModelParams, ParameterError, RegimeError
-from .theory import classify_regime
+from .theory import RegimeReport, classify_regime
 
 __all__ = [
+    "BATTERIES",
+    "Battery",
     "CheckResult",
     "VerificationReport",
     "verify_slln",
@@ -157,12 +166,6 @@ def _verdict(checks: Sequence[CheckResult]) -> bool:
     return all(c.passed for c in checks if c.gating)
 
 
-def _require_fraction_grid(cfg: EnsembleConfig, battery: str) -> tuple[float, ...]:
-    if cfg.snapshot_fractions is None:
-        raise ParameterError(f"{battery} expects snapshot_fractions, not exponent_times")
-    return cfg.snapshot_fractions
-
-
 def _finish(theorem, regime, cfg, checks, t0, notes=None, extras=None) -> VerificationReport:
     return VerificationReport(
         theorem=theorem,
@@ -179,70 +182,86 @@ def _finish(theorem, regime, cfg, checks, t0, notes=None, extras=None) -> Verifi
     )
 
 
+def _gaussian_checks(cfg, summary, kernel, eff, mean_div, pair_div, floors, var_note="",
+                     increments=False) -> list[CheckResult]:
+    """Checks of a Gaussian limit with covariance ``kernel(params, eff_s, eff_t)``.
+
+    Snapshot k (grid value k, summary column k) sits at effective time
+    ``eff[k]``; its mean is scaled by
+    ``mean_div[k]`` and the covariance of snapshots i and j by
+    ``pair_div(i, j)``.  ``floors`` are the relative floors of the variance
+    and cross-time gates.  With ``increments``, each cross-time check is
+    followed by one of the decorrelation of the increment from its start.
+    """
+    params, R, d = cfg.params, cfg.replicas, cfg.params.d
+    key = "s" if cfg.snapshot_fractions is not None else "t"
+    grid = cfg.snapshot_fractions if key == "s" else cfg.exponent_times
+    var_floor, cross_floor = floors
+    cov = summary.position_cov
+    checks: list[CheckResult] = []
+
+    for k, g in enumerate(grid):
+        expected = kernel(params, eff[k], eff[k])
+        cov_k = cov[k, k] / pair_div(k, k)
+        drift = theory.mean_drift(params, summary.times[k]) / mean_div[k]
+        for a in range(d):
+            v_emp = cov_k[a, a]
+            checks.append(_two_sided(
+                f"var[{key}={g}, axis={a}]", expected[a, a], v_emp,
+                _variance_se(v_emp, R), var_floor, note=var_note))
+            checks.append(_two_sided(
+                f"mean[{key}={g}, axis={a}]", drift[a],
+                summary.mean_position[k, a] / mean_div[k],
+                summary.mean_se[k, a] / mean_div[k],
+                note="centered at the exact finite-time mean"))
+        for a in range(d):
+            for b in range(a + 1, d):
+                c_emp = cov_k[a, b]
+                checks.append(_two_sided(
+                    f"cross_axis[{key}={g}, axes=({a},{b})]", 0.0, c_emp,
+                    _covariance_se(cov_k[a, a], cov_k[b, b], c_emp, R)))
+
+    for i, j in itertools.combinations(range(len(grid)), 2):
+        expected = kernel(params, eff[i], eff[j])
+        cross = cov[i, j] / pair_div(i, j)
+        v_s = cov[i, i] / pair_div(i, i)
+        v_t = cov[j, j] / pair_div(j, j)
+        pair = f"(s,t)=({grid[i]},{grid[j]})"
+        for a in range(d):
+            checks.append(_two_sided(
+                f"cross_time[{pair}, axis={a}]", expected[a, a], cross[a, a],
+                _covariance_se(v_s[a, a], v_t[a, a], cross[a, a], R), cross_floor))
+            if increments:
+                inc = cross[a, a] - v_s[a, a]
+                v_diff = v_t[a, a] + v_s[a, a] - 2 * cross[a, a]
+                checks.append(_two_sided(
+                    f"increment_decorrelation[{pair}, axis={a}]",
+                    0.0, inc, _covariance_se(v_diff, v_s[a, a], inc, R),
+                    note="cov(Z_t - Z_s, Z_s); bias-free by the martingale structure"))
+    return checks
+
+
 def verify_diffusive_clt(cfg: EnsembleConfig) -> VerificationReport:
     """Gaussian limit of S_{floor(sn)}/sqrt(n): variances, cross-time and
     cross-axis covariances against the diffusive kernel."""
     t0 = time.perf_counter()
-    report = classify_regime(cfg.params)
-    if report.regime != theory.DIFFUSIVE:
-        raise RegimeError(
-            f"p >= p_c = {report.p_c}: diffusive CLT out of domain (regime is {report.regime})"
-        )
-    fractions = _require_fraction_grid(cfg, "verify_diffusive_clt")
+    report = BATTERIES["clt"].check(cfg)
     summary = run_ensemble(cfg)
-    params, n, R = cfg.params, cfg.n, cfg.replicas
-    d = params.d
-    sqrt_n = math.sqrt(n)
-    checks: list[CheckResult] = []
-    idx_of = {s: summary.index_of(cfg.time_of(s)) for s in fractions}
-    eff = {s: cfg.time_of(s) / n for s in fractions}
-
-    for s in fractions:
-        i = idx_of[s]
-        kernel = theory.diffusive_covariance(params, eff[s], eff[s])
-        cov_n = summary.position_cov[i, i] / n
-        drift = theory.mean_drift(params, cfg.time_of(s)) / sqrt_n
-        for a in range(d):
-            v_emp = cov_n[a, a]
-            checks.append(_two_sided(
-                f"var[s={s}, axis={a}]", kernel[a, a], v_emp,
-                _variance_se(v_emp, R), REL_FLOOR_VARIANCE))
-            checks.append(_two_sided(
-                f"mean[s={s}, axis={a}]", drift[a],
-                summary.mean_position[i, a] / sqrt_n,
-                summary.mean_se[i, a] / sqrt_n,
-                note="centered at the exact finite-time mean"))
-        for a in range(d):
-            for b in range(a + 1, d):
-                c_emp = cov_n[a, b]
-                checks.append(_two_sided(
-                    f"cross_axis[s={s}, axes=({a},{b})]", 0.0, c_emp,
-                    _covariance_se(cov_n[a, a], cov_n[b, b], c_emp, R)))
-
-    for i_s, s in enumerate(fractions):
-        for t in fractions[i_s + 1:]:
-            i, j = idx_of[s], idx_of[t]
-            kernel = theory.diffusive_covariance(params, eff[s], eff[t])
-            cross = summary.position_cov[i, j] / n
-            v_s = summary.position_cov[i, i] / n
-            v_t = summary.position_cov[j, j] / n
-            for a in range(d):
-                checks.append(_two_sided(
-                    f"cross_time[(s,t)=({s},{t}), axis={a}]", kernel[a, a], cross[a, a],
-                    _covariance_se(v_s[a, a], v_t[a, a], cross[a, a], R),
-                    REL_FLOOR_CROSS_TIME))
+    n = cfg.n
+    checks = _gaussian_checks(
+        cfg, summary, theory.diffusive_covariance,
+        eff=[m / n for m in summary.times],
+        mean_div=[math.sqrt(n)] * len(summary.times),
+        pair_div=lambda i, j: n,
+        floors=(REL_FLOOR_VARIANCE, REL_FLOOR_CROSS_TIME),
+    )
     return _finish("diffusive_clt", report.regime, cfg, checks, t0)
 
 
 def verify_center_of_mass(cfg: EnsembleConfig) -> VerificationReport:
     """Gaussian limit of the center of mass G_n/sqrt(n) in the diffusive regime."""
     t0 = time.perf_counter()
-    report = classify_regime(cfg.params)
-    if report.regime != theory.DIFFUSIVE:
-        raise RegimeError(
-            f"p >= p_c = {report.p_c}: center-of-mass limit out of domain "
-            f"(regime is {report.regime})"
-        )
+    report = BATTERIES["cm"].check(cfg)
     if not cfg.track_center_of_mass:
         cfg = replace(cfg, track_center_of_mass=True)
     summary = run_ensemble(cfg)
@@ -280,69 +299,25 @@ def verify_critical(cfg: EnsembleConfig) -> VerificationReport:
     martingale structure makes it bias-free at finite n.
     """
     t0 = time.perf_counter()
-    report = classify_regime(cfg.params)
-    if report.regime != theory.CRITICAL or not report.exact:
-        raise RegimeError(
-            f"critical verification requires p = p_c = {report.p_c} exactly "
-            f"(got p = {cfg.params.p}, regime {report.regime})"
-        )
-    if cfg.exponent_times is None:
-        raise ParameterError("verify_critical expects exponent_times, not snapshot_fractions")
-    if cfg.n < 2:
+    report = BATTERIES["critical"].check(cfg)
+    if cfg.snapshot_times()[0] < 2:
         raise ParameterError(
-            f"verify_critical needs n >= 2 (it normalizes by log n), got n = {cfg.n}"
+            f"verify_critical needs n >= 2 and snapshot times >= 2 (it normalizes by log n, "
+            f"and time 1 sits at log-time 0, where the limit has no variance), "
+            f"got n = {cfg.n}, times {cfg.snapshot_times()}"
         )
     summary = run_ensemble(cfg)
-    params, n, R = cfg.params, cfg.n, cfg.replicas
-    d = params.d
-    log_n = math.log(n)
-    times = [cfg.time_of(t) for t in cfg.exponent_times]
-    eff = [math.log(m) / log_n for m in times]
-    norms = [math.sqrt(log_n * m) for m in times]  # sqrt(log n) * n^(t_eff/2)
-    checks: list[CheckResult] = []
-    grid = list(cfg.exponent_times)
-
-    for k, t in enumerate(grid):
-        i = summary.index_of(times[k])
-        cov_k = summary.position_cov[i, i] / norms[k] ** 2
-        drift = theory.mean_drift(params, times[k]) / norms[k]
-        expected_var = eff[k] / d
-        for a in range(d):
-            v_emp = cov_k[a, a]
-            checks.append(_two_sided(
-                f"var[t={t}, axis={a}]", expected_var, v_emp,
-                _variance_se(v_emp, R), REL_FLOOR_CRITICAL,
-                note="15% floor: convergence is logarithmic"))
-            checks.append(_two_sided(
-                f"mean[t={t}, axis={a}]", drift[a],
-                summary.mean_position[i, a] / norms[k],
-                summary.mean_se[i, a] / norms[k],
-                note="centered at the exact finite-time mean"))
-        for a in range(d):
-            for b in range(a + 1, d):
-                c_emp = cov_k[a, b]
-                checks.append(_two_sided(
-                    f"cross_axis[t={t}, axes=({a},{b})]", 0.0, c_emp,
-                    _covariance_se(cov_k[a, a], cov_k[b, b], c_emp, R)))
-
-    for ks in range(len(grid)):
-        for kt in range(ks + 1, len(grid)):
-            i, j = summary.index_of(times[ks]), summary.index_of(times[kt])
-            cross = summary.position_cov[i, j] / (norms[ks] * norms[kt])
-            v_s = summary.position_cov[i, i] / norms[ks] ** 2
-            v_t = summary.position_cov[j, j] / norms[kt] ** 2
-            for a in range(d):
-                checks.append(_two_sided(
-                    f"cross_time[(s,t)=({grid[ks]},{grid[kt]}), axis={a}]",
-                    eff[ks] / d, cross[a, a],
-                    _covariance_se(v_s[a, a], v_t[a, a], cross[a, a], R),
-                    REL_FLOOR_CRITICAL))
-                inc = cross[a, a] - v_s[a, a]
-                v_diff = v_t[a, a] + v_s[a, a] - 2 * cross[a, a]
-                checks.append(_two_sided(
-                    f"increment_decorrelation[(s,t)=({grid[ks]},{grid[kt]}), axis={a}]",
-                    0.0, inc, _covariance_se(v_diff, v_s[a, a], inc, R),
-                    note="cov(Z_t - Z_s, Z_s); bias-free by the martingale structure"))
+    log_n = math.log(cfg.n)
+    norms = [math.sqrt(log_n * m) for m in summary.times]  # sqrt(log n) * n^(t_eff/2)
+    checks = _gaussian_checks(
+        cfg, summary, theory.critical_covariance,
+        eff=[math.log(m) / log_n for m in summary.times],
+        mean_div=norms,
+        pair_div=lambda i, j: norms[i] ** 2 if i == j else norms[i] * norms[j],
+        floors=(REL_FLOOR_CRITICAL, REL_FLOOR_CRITICAL),
+        var_note="15% floor: convergence is logarithmic",
+        increments=True,
+    )
     notes = ["variance tolerances use a 15% relative floor (logarithmic convergence)"]
     return _finish("critical", report.regime, cfg, checks, t0, notes=notes)
 
@@ -358,17 +333,7 @@ def verify_superdiffusive(cfg: EnsembleConfig, epsilon: float = 0.05) -> Verific
     limit is not degenerate at zero: most replicas keep |Z| above epsilon.
     """
     t0 = time.perf_counter()
-    report = classify_regime(cfg.params)
-    if report.regime != theory.SUPERDIFFUSIVE:
-        raise RegimeError(
-            f"p <= p_c = {report.p_c}: superdiffusive verification out of domain "
-            f"(regime is {report.regime})"
-        )
-    fractions = _require_fraction_grid(cfg, "verify_superdiffusive")
-    if len(fractions) < 3:
-        raise ParameterError("superdiffusive verification needs a ladder of at least 3 snapshots")
-    if not cfg.retain_positions:
-        cfg = replace(cfg, retain_positions=True)
+    report = BATTERIES["superdiffusive"].check(cfg)
     summary = run_ensemble(cfg)
     alpha = report.alpha
     R = cfg.replicas
@@ -396,8 +361,7 @@ def verify_superdiffusive(cfg: EnsembleConfig, epsilon: float = 0.05) -> Verific
     sq = np.einsum("rtd,rtd->rt", pos, pos)  # |S_{n_k}|^2 per replica
     base = sq[:, -1]
     base_mean = base.mean()
-    for t_label in fractions[:-1]:
-        col = summary.index_of(cfg.time_of(t_label))
+    for col, t_label in enumerate(cfg.snapshot_fractions[:-1]):
         t_eff = times[col] / times[-1]
         expected = t_eff ** (2 * alpha)
         a = sq[:, col]
@@ -443,10 +407,7 @@ def verify_slln(cfg: EnsembleConfig, eps: float = 0.01, min_fraction: float = 0.
     a factor two of the predicted (t'/t)^(alpha-1).
     """
     t0 = time.perf_counter()
-    report = classify_regime(cfg.params)
-    _require_fraction_grid(cfg, "verify_slln")
-    if not cfg.retain_positions:
-        cfg = replace(cfg, retain_positions=True)
+    report = BATTERIES["slln"].check(cfg)
     summary = run_ensemble(cfg)
     times = np.array(summary.times, dtype=np.float64)
     pos = summary.positions.astype(np.float64)
@@ -494,3 +455,88 @@ def verify_slln(cfg: EnsembleConfig, eps: float = 0.01, min_fraction: float = 0.
         "alpha": report.alpha,
     }
     return _finish("slln", report.regime, cfg, checks, t0, extras=extras)
+
+
+#: Why parameters fall outside a battery's regime, by that regime.
+_OUTSIDE = {
+    theory.DIFFUSIVE: "p >= p_c = {p_c}: {name} is out of domain",
+    theory.CRITICAL: "{name} requires p = p_c = {p_c} exactly",
+    theory.SUPERDIFFUSIVE: "p <= p_c = {p_c}: {name} is out of domain",
+}
+
+
+@dataclass(frozen=True)
+class Battery:
+    """One verification battery: its runner, its domain and its default shape.
+
+    ``regime`` is the regime the battery applies to: None for every regime,
+    and :data:`theory.CRITICAL` means exactly critical
+    (``RegimeReport.exact``).  ``grid`` is the default snapshot grid, read as
+    the :class:`EnsembleConfig` field ``kind`` (fractions of n or exponents of
+    n); the battery needs at least ``min_times`` snapshot times.
+    """
+
+    runner: Callable[[EnsembleConfig], VerificationReport]
+    regime: str | None
+    n: int
+    replicas: int
+    grid: tuple[float, ...]
+    kind: str = "snapshot_fractions"
+    min_times: int = 1
+
+    def applies(self, params: ModelParams) -> bool:
+        """Whether the battery's limit theorem covers these parameters."""
+        report = classify_regime(params)
+        return self.regime is None or (report.regime == self.regime and report.exact)
+
+    def check(self, cfg: EnsembleConfig) -> RegimeReport:
+        """Raise unless ``cfg`` lies in the battery's domain; return its regime report."""
+        name = self.runner.__name__
+        report = classify_regime(cfg.params)
+        if not self.applies(cfg.params):
+            raise RegimeError(
+                _OUTSIDE[self.regime].format(name=name, p_c=report.p_c)
+                + f" (got p = {cfg.params.p}, regime {report.regime})"
+            )
+        grid = getattr(cfg, self.kind)
+        if grid is None:
+            raise ParameterError(f"{name} expects a grid of {self.kind}")
+        if len(grid) < self.min_times:
+            raise ParameterError(
+                f"{name} needs a ladder of at least {self.min_times} snapshot times, "
+                f"got {len(grid)}"
+            )
+        return report
+
+    def config(self, params: ModelParams, seed: int, n: int | None = None,
+               replicas: int | None = None, snapshot_fractions=None, exponent_times=None,
+               step_budget: int = DEFAULT_STEP_BUDGET) -> EnsembleConfig:
+        """The battery's ensemble, at its default shape unless overridden, checked.
+
+        Without a grid of either kind the battery's default grid is used.
+        """
+        grid = {"snapshot_fractions": snapshot_fractions, "exponent_times": exponent_times}
+        if snapshot_fractions is None and exponent_times is None:
+            grid[self.kind] = self.grid
+        cfg = EnsembleConfig(
+            params=params,
+            replicas=self.replicas if replicas is None else replicas,
+            master_seed=seed,
+            n=self.n if n is None else n,
+            step_budget=step_budget,
+            **grid,
+        )
+        self.check(cfg)
+        return cfg
+
+
+#: Every battery by name, in the order ``merw verify all`` runs them.
+BATTERIES = {
+    "slln": Battery(verify_slln, None, 1_000_000, 100, (1e-3, 1e-2, 1e-1, 1.0), min_times=2),
+    "clt": Battery(verify_diffusive_clt, theory.DIFFUSIVE, 10_000, 10_000, (0.5, 1.0)),
+    "cm": Battery(verify_center_of_mass, theory.DIFFUSIVE, 10_000, 10_000, (1.0,)),
+    "critical": Battery(verify_critical, theory.CRITICAL, 10_000, 10_000, (1.0,),
+                        kind="exponent_times"),
+    "superdiffusive": Battery(verify_superdiffusive, theory.SUPERDIFFUSIVE, 128_000, 1_000,
+                              tuple(2.0**-k for k in range(7, -1, -1)), min_times=3),
+}

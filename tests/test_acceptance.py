@@ -14,15 +14,8 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from merw.ensemble import EnsembleConfig
 from merw.enumeration import exact_small_n_pmf, project_pmf
-from merw.montecarlo import (
-    verify_center_of_mass,
-    verify_critical,
-    verify_diffusive_clt,
-    verify_slln,
-    verify_superdiffusive,
-)
+from merw.montecarlo import BATTERIES
 from merw.params import ModelParams
 from merw.theory import (
     classify_regime,
@@ -46,28 +39,19 @@ def criterion(number: int, name: str, ok: bool, detail: str = ""):
 
 
 def _battery_configs():
+    """Each criterion's (runner, config): the battery's registry shape at pinned seeds."""
+    cases = {
+        "clt": ("clt", ModelParams(2, "1/2", "1/2"), SEED_CLT),
+        "cm": ("cm", ModelParams(1, "1/2", "1/2"), SEED_CM),
+        "critical_d1": ("critical", ModelParams(1, "3/4", "1/2"), SEED_CRITICAL),
+        "critical_d2": ("critical", ModelParams(2, "5/8", "1/2"), SEED_CRITICAL),
+        "superdiffusive": ("superdiffusive", ModelParams(1, 0.9, "1/2"), SEED_SUPER),
+        "slln": ("slln", ModelParams(2, "1/2", "1/2"), SEED_SLLN),
+        "slln_ladder": ("slln", ModelParams(1, 0.9, "1/2"), SEED_LADDER),
+    }
     return {
-        "clt": (verify_diffusive_clt, EnsembleConfig(
-            params=ModelParams(2, "1/2", "1/2"), replicas=10_000, master_seed=SEED_CLT,
-            n=10_000, snapshot_fractions=(0.5, 1.0))),
-        "cm": (verify_center_of_mass, EnsembleConfig(
-            params=ModelParams(1, "1/2", "1/2"), replicas=10_000, master_seed=SEED_CM,
-            n=10_000, snapshot_fractions=(1.0,), track_center_of_mass=True)),
-        "critical_d1": (verify_critical, EnsembleConfig(
-            params=ModelParams(1, "3/4", "1/2"), replicas=10_000, master_seed=SEED_CRITICAL,
-            n=10_000, exponent_times=(1.0,))),
-        "critical_d2": (verify_critical, EnsembleConfig(
-            params=ModelParams(2, "5/8", "1/2"), replicas=10_000, master_seed=SEED_CRITICAL,
-            n=10_000, exponent_times=(1.0,))),
-        "superdiffusive": (verify_superdiffusive, EnsembleConfig(
-            params=ModelParams(1, 0.9, "1/2"), replicas=1_000, master_seed=SEED_SUPER,
-            n=128_000, snapshot_fractions=tuple(2.0**-k for k in range(7, -1, -1)))),
-        "slln": (verify_slln, EnsembleConfig(
-            params=ModelParams(2, "1/2", "1/2"), replicas=100, master_seed=SEED_SLLN,
-            n=10**6, snapshot_fractions=(1e-3, 1e-2, 1e-1, 1.0))),
-        "slln_ladder": (verify_slln, EnsembleConfig(
-            params=ModelParams(1, 0.9, "1/2"), replicas=100, master_seed=SEED_LADDER,
-            n=10**6, snapshot_fractions=(1e-3, 1e-2, 1e-1, 1.0))),
+        name: (BATTERIES[battery].runner, BATTERIES[battery].config(params, seed))
+        for name, (battery, params, seed) in cases.items()
     }
 
 

@@ -265,12 +265,33 @@ def test_verify_regime_mismatch_exits_2(capsys):
     pytest.param(("critical", "-d", "1", "-p", "3/4", "-n", "1"), id="critical-n1"),
     pytest.param(("clt", "-d", "1", "-p", "1/2", "-n", "10", "--fractions", "0.51,0.55"),
                  id="colliding-grid"),
+    pytest.param(("slln", "-d", "1", "-p", "1/2", "-n", "100", "--fractions", "1.0"),
+                 id="slln-one-time"),
+    pytest.param(("critical", "-d", "1", "-p", "3/4", "-n", "10000", "--exponents", "0.05,1.0"),
+                 id="critical-time-1"),
 ])
 def test_verify_rejects_degenerate_input(capsys, argv):
     code, out, err = run_cli(capsys, "verify", *argv, "--replicas", "10", "--seed", "1")
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv, code", [
+    pytest.param(("-d", "1", "-p", "0.9", "-n", "2000", "--replicas", "10",
+                  "--fractions", "0.5,1.0"), 2, id="short-ladder"),
+    pytest.param(("-d", "1", "-p", "3/4", "-n", "1000", "--replicas", "10",
+                  "--fractions", "0.5,1.0"), 2, id="grid-kind"),
+    pytest.param(("-d", "2", "-p", "1/2", "-n", "1000", "--budget", "200000"), 3,
+                 id="budget"),
+])
+def test_verify_all_checks_every_battery_before_running(capsys, tmp_path, argv, code):
+    out_path = tmp_path / "all.json"
+    got, out, err = run_cli(capsys, "verify", "all", *argv, "--seed", "1", "--out", str(out_path))
+    assert got == code
+    assert out == ""
+    assert err.startswith("error: ")
+    assert not out_path.exists()
 
 
 def test_verify_selector_validation(capsys):

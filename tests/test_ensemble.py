@@ -69,9 +69,8 @@ def test_config_rejects_horizon_beyond_int32():
 
 
 def test_budget_guard():
-    cfg = make_cfg(replicas=100, n=10_000, step_budget=10_000)
     with pytest.raises(BudgetError, match="budget"):
-        run_ensemble(cfg)
+        make_cfg(replicas=100, n=10_000, step_budget=10_000)
 
 
 # ------------------------------------------------------------- determinism
@@ -133,12 +132,6 @@ def test_snapshot_time_validation():
         simulate_replicas(ModelParams(1, 0.5), 10, [0], 1, 2)
     with pytest.raises(ParameterError, match="snapshot times"):
         simulate_replicas(ModelParams(1, 0.5), 10, [11], 1, 2)
-
-
-def test_retain_positions_flag():
-    summary = run_ensemble(make_cfg(retain_positions=False))
-    assert summary.positions is None
-    assert summary.mean_position.shape == (2, 2)
 
 
 # ------------------------------------------------- agreement with the law

@@ -1,4 +1,5 @@
-"""Golden digests of sampled paths: the alarm for kernel or numpy stream drift.
+"""Golden digests of sampled paths and of two battery reports: the alarm for
+kernel, check or numpy stream drift.
 
 Each case pins the SHA-256 of ``simulate_replicas`` positions (and of the
 centre-of-mass sums where tracked), little-endian int64 in C order.  The
@@ -11,11 +12,13 @@ result and must be reported, not re-pinned silently.
 """
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
 
 from merw.ensemble import simulate_replicas
+from merw.montecarlo import BATTERIES
 from merw.params import ModelParams
 
 
@@ -67,3 +70,26 @@ def digests(case):
 @pytest.mark.parametrize("case", CASES, ids=[c[0] for c in CASES])
 def test_sampled_paths_match_golden_digests(case):
     assert digests(case) == GOLDEN[case[0]]
+
+
+# (id, battery, (d, p, q), n, grid, master_seed, replicas)
+REPORT_CASES = [
+    ("clt-d2", "clt", (2, "1/2", "1/2"), 400, (0.25, 0.5, 0.75, 1.0), 2024, 300),
+    ("critical-d2", "critical", (2, "5/8", "1/2"), 400, (0.25, 0.5, 0.75, 1.0), 2025, 300),
+]
+
+#: SHA-256 of json.dumps(report.canonical_dict(), sort_keys=True), pinned before the
+#: CLT and critical batteries shared one check body; same numpy caveat as above.
+GOLDEN_REPORTS = {
+    "clt-d2": "a39af2d9308a905a25b87552c30ff5f13849dcf8fd2ed14c73ed8a8fa393b343",
+    "critical-d2": "562b342d6aa9385e7be31312449af3c9c6c8d42d6a80c79608fe69807294436a",
+}
+
+
+@pytest.mark.parametrize("case", REPORT_CASES, ids=[c[0] for c in REPORT_CASES])
+def test_reports_match_golden_digests(case):
+    name, battery, (d, p, q), n, grid, seed, replicas = case
+    entry = BATTERIES[battery]
+    cfg = entry.config(ModelParams(d, p, q), seed, n, replicas, **{entry.kind: grid})
+    report = json.dumps(entry.runner(cfg).canonical_dict(), sort_keys=True)
+    assert hashlib.sha256(report.encode()).hexdigest() == GOLDEN_REPORTS[name]

@@ -4,6 +4,7 @@ import pytest
 
 from merw.ensemble import EnsembleConfig
 from merw.montecarlo import (
+    BATTERIES,
     verify_center_of_mass,
     verify_critical,
     verify_diffusive_clt,
@@ -222,6 +223,32 @@ def test_grid_kind_mismatches():
             n=100,
             snapshot_fractions=(1.0,),
         ))
+    with pytest.raises(ParameterError, match="snapshot_fractions"):
+        verify_center_of_mass(EnsembleConfig(
+            params=ModelParams(1, 0.5),
+            replicas=10,
+            master_seed=0,
+            n=100,
+            exponent_times=(1.0,),
+        ))
+    with pytest.raises(ParameterError, match="ladder"):
+        verify_slln(EnsembleConfig(
+            params=ModelParams(1, 0.5),
+            replicas=10,
+            master_seed=1,
+            n=100,
+            snapshot_fractions=(1.0,),
+        ))
+
+
+@pytest.mark.parametrize("params, selected", [
+    (ModelParams(2, "1/2"), ["slln", "clt", "cm"]),
+    (ModelParams(1, "3/4"), ["slln", "critical"]),
+    (ModelParams(1, 0.9), ["slln", "superdiffusive"]),
+    (ModelParams(3, 7 / 12), ["slln"]),  # critical only within the float band
+], ids=["diffusive", "critical", "superdiffusive", "inexact-critical"])
+def test_battery_selection(params, selected):
+    assert [name for name, b in BATTERIES.items() if b.applies(params)] == selected
 
 
 # -------------------------------------------------------------- reporting

@@ -14,11 +14,9 @@ from .montecarlo import (
 )
 from .params import BudgetError, ModelParams, ParameterError, RegimeError
 from .theory import (
-    CovarianceSpec,
     RegimeReport,
     classify_regime,
     cm_covariance,
-    covariance_spec,
     critical_covariance,
     critical_memory,
     diffusive_covariance,
@@ -32,7 +30,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BudgetError",
     "CheckResult",
-    "CovarianceSpec",
     "EnsembleConfig",
     "EnsembleSummary",
     "ModelParams",
@@ -43,7 +40,6 @@ __all__ = [
     "VerificationReport",
     "classify_regime",
     "cm_covariance",
-    "covariance_spec",
     "critical_covariance",
     "critical_memory",
     "diffusive_covariance",

@@ -19,7 +19,7 @@ import numpy as np
 
 from .ensemble import DEFAULT_STEP_BUDGET, grid_times, simulate_replicas
 from .montecarlo import BATTERIES
-from .params import BudgetError, ModelParams, ParameterError, RegimeError
+from .params import BudgetError, ModelParams, ParameterError, RegimeError, check_integer
 from .theory import classify_regime
 from .urn import mean_replacement_matrix
 
@@ -140,14 +140,11 @@ def _write_json(record: dict, out_path: str | None) -> None:
 def cmd_simulate(args) -> int:
     params = _parse_params(args)
     seed = _resolve_seed(args)
-    n = args.horizon
-    if n < 1:
-        raise ParameterError(f"horizon must be >= 1, got {n}")
-    if args.replicas < 1:
-        raise ParameterError(f"replicas must be >= 1, got {args.replicas}")
-    if args.replicas * n > args.budget:
+    n = check_integer("horizon", args.horizon, 1)
+    replicas = check_integer("replicas", args.replicas, 1)
+    if replicas * n > args.budget:
         raise BudgetError(
-            f"simulation needs {args.replicas} x {n} = {args.replicas * n} steps, "
+            f"simulation needs {replicas} x {n} = {replicas * n} steps, "
             f"exceeding the step budget of {args.budget}"
         )
     if args.snapshots is not None:
@@ -160,7 +157,7 @@ def cmd_simulate(args) -> int:
         times = grid_times(_comma_list(args.exponents, float), n, exponent=True)
     else:
         times = [n]
-    positions, _ = simulate_replicas(params, n, times, seed, args.replicas)
+    positions, _ = simulate_replicas(params, n, times, seed, replicas)
     d = params.d
     if args.format in ("csv", "jsonl"):
         if args.format == "csv":
@@ -177,14 +174,10 @@ def cmd_simulate(args) -> int:
             fh.write(header)
             _write_rows(fh, positions, times, row_format)
     else:
-        rows = [
-            [r, t] + [int(x) for x in positions[r, i]]
-            for r in range(args.replicas)
-            for i, t in enumerate(times)
-        ]
+        rows = [row for block in _row_blocks(positions, times) for row in block.tolist()]
         record = _record("simulate", seed, params, {
             "horizon": n,
-            "replicas": args.replicas,
+            "replicas": replicas,
             "columns": ["replica", "n"] + [f"x_{k + 1}" for k in range(d)],
             "rows": rows,
         })
@@ -192,12 +185,8 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _write_rows(fh, positions: np.ndarray, times, row_format: str) -> None:
-    """Write one (replica, time, x_1..x_d) row per snapshot, replica-major.
-
-    Rows go out in blocks of about ``BLOCK_ROWS``, each block formatted by a
-    single %-operation on ``row_format`` repeated once per row.
-    """
+def _row_blocks(positions: np.ndarray, times):
+    """(replica, time, x_1..x_d) int64 rows, replica-major, about ``BLOCK_ROWS`` per block."""
     R, T, d = positions.shape
     per_block = max(1, BLOCK_ROWS // T)
     for r0 in range(0, R, per_block):
@@ -206,7 +195,14 @@ def _write_rows(fh, positions: np.ndarray, times, row_format: str) -> None:
         rows[:, :, 0] = np.arange(r0, r0 + len(block))[:, None]
         rows[:, :, 1] = times
         rows[:, :, 2:] = block
-        fh.write(row_format * (len(block) * T) % tuple(rows.ravel().tolist()))
+        yield rows.reshape(-1, d + 2)
+
+
+def _write_rows(fh, positions: np.ndarray, times, row_format: str) -> None:
+    """Write the rows of :func:`_row_blocks`, each block by one %-operation on
+    ``row_format`` repeated once per row."""
+    for rows in _row_blocks(positions, times):
+        fh.write(row_format * len(rows) % tuple(rows.ravel().tolist()))
 
 
 def cmd_classify(args) -> int:

@@ -42,7 +42,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .params import BudgetError, ModelParams, ParameterError
+from .params import BudgetError, ModelParams, ParameterError, check_integer
 from .urn import project_counts
 
 #: Steps prefetched per chunk.  Part of the determinism contract: changing it
@@ -68,27 +68,9 @@ def replica_generator(master_seed: int, replica: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seq))
 
 
-def _check_integer(name: str, value, lo: int, hi: int | None = None) -> int:
-    """``value`` as an int, if it is an integer in [lo, hi] (no upper end when hi is None)."""
-    span = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, (int, np.integer))
-        or value < lo
-        or (hi is not None and value > hi)
-    ):
-        raise ParameterError(f"{name}: expected an integer {span}, got {value!r}")
-    return int(value)
-
-
 def _below(probability: float) -> np.uint64:
     """The bound b with numpy's double (w >> 11) * 2^-53 < probability iff raw word w < b."""
     return np.uint64(math.ceil(probability * 2**53) << 11)
-
-
-def _grid_time(value: float, n: int, exponent: bool) -> int:
-    # tolerate decimal fractions whose float product lands just below an integer
-    return int(math.floor((n**value if exponent else value * n) + 1e-9))
 
 
 def grid_times(grid: Sequence[float], n: int, exponent: bool = False) -> tuple[int, ...]:
@@ -107,7 +89,8 @@ def grid_times(grid: Sequence[float], n: int, exponent: bool = False) -> tuple[i
         raise ParameterError(f"snapshot grid values must lie in (0, 1], got {grid}")
     if list(grid) != sorted(set(grid)):
         raise ParameterError(f"snapshot grid must be strictly increasing, got {grid}")
-    times = tuple(_grid_time(g, n, exponent) for g in grid)
+    # tolerate decimal fractions whose float product lands just below an integer
+    times = tuple(int(math.floor((n**g if exponent else g * n) + 1e-9)) for g in grid)
     if times[0] < 1:
         raise ParameterError(f"smallest snapshot time is below 1 at horizon n = {n}")
     collisions = [
@@ -143,9 +126,9 @@ class EnsembleConfig:
     step_budget: int = DEFAULT_STEP_BUDGET
 
     def __post_init__(self):
-        _check_integer("replicas", self.replicas, 2)
-        _check_integer("horizon n", self.n, 1, MAX_STEPS)
-        _check_integer("master_seed", self.master_seed, 0, 2**64 - 1)
+        check_integer("replicas", self.replicas, 2)
+        check_integer("horizon n", self.n, 1, MAX_STEPS)
+        check_integer("master_seed", self.master_seed, 0, 2**64 - 1)
         total_steps = self.replicas * self.n
         if total_steps > self.step_budget:
             raise BudgetError(
@@ -168,10 +151,6 @@ class EnsembleConfig:
         exponent = self.snapshot_fractions is None
         grid = self.exponent_times if exponent else self.snapshot_fractions
         return grid_times(grid, self.n, exponent)
-
-    def time_of(self, label: float) -> int:
-        """Integer time for one grid value (fraction or exponent)."""
-        return _grid_time(label, self.n, self.snapshot_fractions is None)
 
 
 @dataclass
@@ -387,10 +366,10 @@ def simulate_replicas(
     """
     d = params.d
     twod = params.n_colours
-    n = _check_integer("horizon n", n, 1, MAX_STEPS)
-    R = _check_integer("replicas", replicas, 1)
-    master_seed = _check_integer("master_seed", master_seed, 0, 2**64 - 1)
-    times = sorted({_check_integer("snapshot times", t, 1, n) for t in snapshot_times})
+    n = check_integer("horizon n", n, 1, MAX_STEPS)
+    R = check_integer("replicas", replicas, 1)
+    master_seed = check_integer("master_seed", master_seed, 0, 2**64 - 1)
+    times = sorted({check_integer("snapshot times", t, 1, n) for t in snapshot_times})
     time_slot = {t: i for i, t in enumerate(times)}
     bitgens = [replica_generator(master_seed, r).bit_generator for r in range(R)]
     held = np.full(R, -1, dtype=np.int64)
@@ -398,7 +377,7 @@ def simulate_replicas(
     colour = np.int8 if twod <= 127 else np.int32
     out = np.zeros((R, len(times), d), dtype=np.int64)
 
-    # step 1: designated colour 0 with probability q, else uniform other
+    # step 1 samples urn.first_colour_law: colour 0 with probability q, else uniform other
     first = np.empty(R, dtype=colour)
     for cols, (raw, j) in _decoded_blocks(bitgens, held, [1, _flip_highs(twod, 1)]):
         other = j[:, 0] + 1 if twod > 2 else 1

@@ -13,8 +13,13 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .params import BudgetError, ModelParams, ParameterError
-from .urn import added_colour_distribution_exact
+from .params import BudgetError, ModelParams, ParameterError, check_integer
+from .urn import (
+    added_colour_distribution_exact,
+    check_composition,
+    first_colour_law,
+    project_counts,
+)
 
 #: Largest n enumerated by default, per dimension.  The state space is the
 #: set of weak compositions of n into 2d parts, so it grows quickly with d.
@@ -37,12 +42,10 @@ def step_distribution_exact(counts: Sequence[int], params: ModelParams) -> list[
     itself and (1-p)/(2d-1) to every other direction.
     """
     twod = params.n_colours
-    counts = [int(c) for c in counts]
-    if len(counts) != twod:
-        raise ParameterError(f"expected {twod} direction counts, got {len(counts)}")
+    counts = check_composition(
+        counts, twod, "step_distribution_exact requires at least one past step"
+    )
     n = sum(counts)
-    if n <= 0:
-        raise ValueError("step_distribution_exact requires at least one past step")
     p = params.p_as_fraction()
     off = (1 - p) / (twod - 1)
     out = [Fraction(0)] * twod
@@ -56,16 +59,9 @@ def step_distribution_exact(counts: Sequence[int], params: ModelParams) -> list[
 
 
 def _first_level(params: ModelParams) -> UrnPmf:
-    # the first step is +e_1 (colour 0) with probability q, else uniform other
     twod = params.n_colours
-    q = params.q_as_fraction()
-    other = (1 - q) / (twod - 1)
-    level: UrnPmf = {}
-    for colour in range(twod):
-        counts = [0] * twod
-        counts[colour] = 1
-        level[tuple(counts)] = q if colour == 0 else other
-    return level
+    law = first_colour_law(params.q_as_fraction(), twod)
+    return {tuple(int(c == colour) for c in range(twod)): prob for colour, prob in enumerate(law)}
 
 
 def _advance(level: UrnPmf, params: ModelParams, law) -> UrnPmf:
@@ -86,7 +82,7 @@ def project_pmf(counts_pmf: UrnPmf) -> WalkPmf:
     """Push a count distribution through the pairwise difference map."""
     out: WalkPmf = {}
     for counts, prob in counts_pmf.items():
-        pos = tuple(counts[2 * k] - counts[2 * k + 1] for k in range(len(counts) // 2))
+        pos = tuple(project_counts(counts).tolist())
         out[pos] = out.get(pos, Fraction(0)) + prob
     return out
 
@@ -109,8 +105,7 @@ def exact_small_n_pmf(
     """
     if engine not in ("walk", "urn"):
         raise ParameterError(f"engine must be 'walk' or 'urn', got {engine!r}")
-    if n < 1:
-        raise ParameterError(f"n must be >= 1, got {n}")
+    n = check_integer("n", n, 1)
     budget = max_n if max_n is not None else n_budget(params.d)
     if n > budget:
         raise BudgetError(

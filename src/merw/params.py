@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Integral
 from typing import Union
 
 ProbabilityLike = Union[float, str, Fraction]
@@ -26,6 +27,19 @@ class RegimeError(ValueError):
 
 class BudgetError(RuntimeError):
     """Raised when a requested computation exceeds a configured budget."""
+
+
+def check_integer(name: str, value, lo: int, hi: int | None = None) -> int:
+    """``value`` as an int, if it is an integer in [lo, hi] (no upper end when hi is None)."""
+    span = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, Integral)
+        or value < lo
+        or (hi is not None and value > hi)
+    ):
+        raise ParameterError(f"{name}: expected an integer {span}, got {value!r}")
+    return int(value)
 
 
 def parse_probability(value: ProbabilityLike) -> tuple[float, Fraction | None]:

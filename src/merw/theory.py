@@ -6,7 +6,9 @@ a centered Gaussian process; at it a Brownian limit appears under a
 logarithmic normalization; above it the walk stabilizes almost surely at
 scale n^alpha with alpha = (2dp-1)/(2d-1).  All kernels here are explicit
 and all eigen-decompositions use the rank-one structure of the replacement
-matrix rather than numerical solvers.
+matrix rather than numerical solvers.  alpha, the first-step law and the
+pairing map are read from :mod:`merw.urn`; the batteries of
+:mod:`merw.montecarlo` choose which kernel gates which regime.
 """
 
 from __future__ import annotations
@@ -14,12 +16,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 import numpy as np
 
-from .params import ModelParams, RegimeError
-from .urn import pairing_matrix
+from .params import ModelParams, RegimeError, check_integer
+from .urn import first_colour_law, project_counts, second_eigenvalue
 
 DIFFUSIVE = "diffusive"
 CRITICAL = "critical"
@@ -36,11 +37,11 @@ def critical_memory(d: int) -> Fraction:
 
 def memory_exponent(params: ModelParams) -> float:
     """Second-eigenvalue exponent alpha = (2dp-1)/(2d-1)."""
-    return (2 * params.d * params.p - 1.0) / (2 * params.d - 1.0)
+    return second_eigenvalue(params.d, params.p)
 
 
 def memory_exponent_exact(params: ModelParams) -> Fraction:
-    return (2 * params.d * params.p_as_fraction() - 1) / (2 * params.d - 1)
+    return second_eigenvalue(params.d, params.p_as_fraction())
 
 
 @dataclass(frozen=True)
@@ -96,8 +97,8 @@ def _require_regime(params: ModelParams, regime: str, what: str) -> RegimeReport
 
 
 def _order_times(s: float, t: float) -> tuple[float, float]:
-    if s <= 0 or t <= 0:
-        raise ValueError(f"times must be positive, got s={s}, t={t}")
+    if not (0 < s < math.inf and 0 < t < math.inf):
+        raise ValueError(f"times must be positive and finite, got s={s}, t={t}")
     return (s, t) if s <= t else (t, s)
 
 
@@ -116,6 +117,11 @@ def diffusive_covariance(params: ModelParams, s: float, t: float) -> np.ndarray:
     return prefactor * s * (t / s) ** memory_exponent(params) * np.eye(d)
 
 
+def _centring(twod: int) -> np.ndarray:
+    # 2d * I - J: 2d-1 on the diagonal, -1 elsewhere, rows summing to zero
+    return twod * np.eye(twod) - 1.0
+
+
 def sigma_I(params: ModelParams) -> np.ndarray:
     """Asymptotic covariance of the urn fluctuations at equal times.
 
@@ -126,9 +132,7 @@ def sigma_I(params: ModelParams) -> np.ndarray:
     d, p = params.d, params.p
     twod = 2 * d
     scale = (twod - 1.0) / (4.0 * d * d * (1.0 + twod - 2 * twod * p))
-    m = np.full((twod, twod), -1.0)
-    np.fill_diagonal(m, twod - 1.0)
-    return scale * m
+    return scale * _centring(twod)
 
 
 def matrix_exponential_factor(params: ModelParams, s: float, t: float) -> np.ndarray:
@@ -162,10 +166,7 @@ def urn_critical_covariance(params: ModelParams, s: float, t: float) -> np.ndarr
     _require_regime(params, CRITICAL, "the critical urn kernel")
     s, t = _order_times(s, t)
     d = params.d
-    twod = 2 * d
-    m = np.full((twod, twod), -1.0)
-    np.fill_diagonal(m, twod - 1.0)
-    return (s / (4.0 * d * d)) * m
+    return (s / (4.0 * d * d)) * _centring(2 * d)
 
 
 def cm_covariance(params: ModelParams) -> np.ndarray:
@@ -180,11 +181,8 @@ def cm_covariance(params: ModelParams) -> np.ndarray:
 
 
 def _first_step_mean(params: ModelParams) -> np.ndarray:
-    # E[S_1]: colour 0 (+e_1) with probability q, each other colour (1-q)/(2d-1)
-    twod = params.n_colours
-    xi = np.full(twod, (1.0 - params.q) / (twod - 1))
-    xi[0] = params.q
-    return pairing_matrix(params.d) @ xi
+    # E[S_1]: the first colour's law pushed through the pairing map
+    return project_counts(np.array(first_colour_law(params.q, params.n_colours)))
 
 
 def mean_drift(params: ModelParams, n: int) -> np.ndarray:
@@ -194,8 +192,7 @@ def mean_drift(params: ModelParams, n: int) -> np.ndarray:
     alpha, so E[S_n] = prod_{k=1}^{n-1} (1 + alpha/k) * E[S_1], and the
     product is Gamma(n+alpha) / (Gamma(n) Gamma(1+alpha)).
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n = check_integer("n", n, 1)
     alpha = memory_exponent(params)
     growth = math.exp(math.lgamma(n + alpha) - math.lgamma(n) - math.lgamma(1.0 + alpha))
     return growth * _first_step_mean(params)
@@ -203,46 +200,8 @@ def mean_drift(params: ModelParams, n: int) -> np.ndarray:
 
 def cm_mean_drift(params: ModelParams, n: int) -> np.ndarray:
     """Exact E[G_n] = (1/n) sum_k E[S_k]."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n = check_integer("n", n, 1)
     alpha = memory_exponent(params)
     factors = 1.0 + alpha / np.arange(1, n, dtype=np.float64)
     growth = np.concatenate(([1.0], np.cumprod(factors)))
     return float(growth.sum()) / n * _first_step_mean(params)
-
-
-@dataclass(frozen=True)
-class CovarianceSpec:
-    """Bundle of regime tag, walk-level kernel, urn matrix and scaling text."""
-
-    regime: str
-    kernel: Callable[[float, float], np.ndarray]
-    sigma_i: np.ndarray | None
-    scaling: str
-
-
-def covariance_spec(params: ModelParams) -> CovarianceSpec:
-    """The limit covariance structure for the parameter's regime.
-
-    The superdiffusive limit is a non-Gaussian random vector whose law is
-    not described by a covariance kernel, so no spec exists above p_c.
-    """
-    report = classify_regime(params)
-    if report.regime == DIFFUSIVE:
-        return CovarianceSpec(
-            regime=DIFFUSIVE,
-            kernel=lambda s, t: diffusive_covariance(params, s, t),
-            sigma_i=sigma_I(params),
-            scaling="position at time floor(t*n), divided by sqrt(n)",
-        )
-    if report.regime == CRITICAL:
-        return CovarianceSpec(
-            regime=CRITICAL,
-            kernel=lambda s, t: critical_covariance(params, s, t),
-            sigma_i=None,
-            scaling="position at time floor(n**t), divided by sqrt(log(n)) * n**(t/2)",
-        )
-    raise RegimeError(
-        "no covariance spec in the superdiffusive regime: the limit is a "
-        "non-degenerate random vector, not a Gaussian process"
-    )

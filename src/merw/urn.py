@@ -5,9 +5,11 @@ ball of the same colour is added with probability p, otherwise a ball of a
 uniformly chosen other colour.  Colour counts are the walk's per-direction
 step counts, and the pairwise difference map recovers the walk position, so
 the urn is not simulated on its own: it is read off the ensemble simulation
-through :func:`project_counts`.  This module holds the exact added-colour
-law (for the walk = urn enumeration), the difference map and the closed-form
-spectral data of the mean replacement matrix.
+through :func:`project_counts`.  This module writes each defining fact of
+the model once: the first ball's colour law (the walk's first step), the
+exact added-colour law (for the walk = urn enumeration), the difference map
+and the second eigenvalue alpha = (2dp-1)/(2d-1) with the rest of the
+closed-form spectral data of the mean replacement matrix.
 """
 
 from __future__ import annotations
@@ -18,7 +20,32 @@ from typing import Sequence
 
 import numpy as np
 
-from .params import ModelParams, ParameterError
+from .params import ModelParams, ParameterError, check_integer
+
+
+def first_colour_law(q, twod: int) -> list:
+    """Law of the first ball's colour, which is the walk's first step.
+
+    Colour 0 (+e_1) has probability q and each other colour (1-q)/(2d-1).
+    Generic in q: a float gives floats, a Fraction gives exact rationals.
+    """
+    return [q] + [(1 - q) / (twod - 1)] * (twod - 1)
+
+
+def second_eigenvalue(d: int, p):
+    """alpha = (2dp-1)/(2d-1): the memory exponent, generic in p like :func:`first_colour_law`."""
+    return (2 * d * p - 1) / (2 * d - 1)
+
+
+def check_composition(counts: Sequence[int], twod: int, empty: str) -> list[int]:
+    """``counts`` as ints if they are ``twod`` integers >= 0, not all 0 (that raises ``empty``)."""
+    counts = list(counts)
+    if len(counts) != twod:
+        raise ParameterError(f"expected {twod} colour counts, got {len(counts)}")
+    counts = [check_integer("colour counts", c, 0) for c in counts]
+    if not any(counts):
+        raise ParameterError(empty)
+    return counts
 
 
 def added_colour_distribution_exact(
@@ -29,12 +56,10 @@ def added_colour_distribution_exact(
     Per colour i: p * counts[i]/n + (1-p)/(2d-1) * (n-counts[i])/n.
     """
     twod = params.n_colours
-    counts = [int(c) for c in counts]
-    if len(counts) != twod:
-        raise ParameterError(f"expected {twod} colour counts, got {len(counts)}")
+    counts = check_composition(
+        counts, twod, "added_colour_distribution_exact requires a non-empty urn"
+    )
     n = sum(counts)
-    if n <= 0:
-        raise ValueError("added_colour_distribution_exact requires a non-empty urn")
     p = params.p_as_fraction()
     off = (1 - p) / (twod - 1)
     return [p * Fraction(c, n) + off * Fraction(n - c, n) for c in counts]
@@ -54,11 +79,7 @@ def project_counts(counts: np.ndarray) -> np.ndarray:
 
 def pairing_matrix(d: int) -> np.ndarray:
     """The d x 2d matrix P of the difference map: position = P @ counts."""
-    P = np.zeros((d, 2 * d))
-    for k in range(d):
-        P[k, 2 * k] = 1.0
-        P[k, 2 * k + 1] = -1.0
-    return P
+    return project_counts(np.eye(2 * d)).T
 
 
 @dataclass(frozen=True)
@@ -93,7 +114,7 @@ def mean_replacement_matrix(params: ModelParams) -> SpectralData:
     return SpectralData(
         matrix=A,
         lambda1=1.0,
-        lambda2=(twod * p - 1.0) / (twod - 1.0),
+        lambda2=second_eigenvalue(d, p),
         v1=np.full(twod, 1.0 / twod),
         u1=np.ones(twod),
         lambda2_multiplicity=twod - 1,
@@ -106,9 +127,4 @@ def lambda2_eigenspace_basis(d: int) -> np.ndarray:
     Rows are e_i - e_{i+1}, i = 0..2d-2: 2d-1 independent vectors, each
     orthogonal to u1.
     """
-    twod = 2 * d
-    basis = np.zeros((twod - 1, twod))
-    for i in range(twod - 1):
-        basis[i, i] = 1.0
-        basis[i, i + 1] = -1.0
-    return basis
+    return np.eye(2 * d - 1, 2 * d) - np.eye(2 * d - 1, 2 * d, k=1)

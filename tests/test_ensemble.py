@@ -60,7 +60,6 @@ def test_snapshot_times_mapping():
     assert cfg.snapshot_times() == (100, 500, 1000)
     cfg = make_cfg(n=10_000, snapshot_fractions=None, exponent_times=(0.5, 1.0))
     assert cfg.snapshot_times() == (100, 10_000)
-    assert cfg.time_of(0.5) == 100
 
 
 def test_config_rejects_horizon_beyond_int32():

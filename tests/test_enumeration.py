@@ -95,6 +95,12 @@ def test_budget_guard():
     assert sum(pmf.values()) == 1
 
 
+@pytest.mark.parametrize("n", [2.5, 2.0, True, "2"])
+def test_non_integer_horizons_are_refused(n):
+    with pytest.raises(ParameterError, match="n: expected an integer"):
+        exact_small_n_pmf(ModelParams(1, "1/2"), n)
+
+
 def test_invalid_arguments():
     with pytest.raises(ParameterError):
         exact_small_n_pmf(ModelParams(1, "1/2"), 0)

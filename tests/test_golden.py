@@ -1,4 +1,4 @@
-"""Golden digests of sampled paths and of two battery reports: the alarm for
+"""Golden digests of sampled paths and of four battery reports: the alarm for
 kernel, check or numpy stream drift.
 
 Each case pins the SHA-256 of ``simulate_replicas`` positions (and of the
@@ -76,13 +76,19 @@ def test_sampled_paths_match_golden_digests(case):
 REPORT_CASES = [
     ("clt-d2", "clt", (2, "1/2", "1/2"), 400, (0.25, 0.5, 0.75, 1.0), 2024, 300),
     ("critical-d2", "critical", (2, "5/8", "1/2"), 400, (0.25, 0.5, 0.75, 1.0), 2025, 300),
+    # q != 1/2: the first-step law reaches the reports through the mean drift
+    ("clt-d2-q", "clt", (2, "1/2", "7/10"), 400, (0.25, 0.5, 0.75, 1.0), 2026, 300),
+    ("cm-d1-q", "cm", (1, "1/2", 0.3), 400, (1.0,), 2027, 300),
 ]
 
 #: SHA-256 of json.dumps(report.canonical_dict(), sort_keys=True), pinned before the
-#: CLT and critical batteries shared one check body; same numpy caveat as above.
+#: CLT and critical batteries shared one check body (the q != 1/2 cases before the
+#: first-step law moved to ``urn.first_colour_law``); same numpy caveat as above.
 GOLDEN_REPORTS = {
     "clt-d2": "a39af2d9308a905a25b87552c30ff5f13849dcf8fd2ed14c73ed8a8fa393b343",
     "critical-d2": "562b342d6aa9385e7be31312449af3c9c6c8d42d6a80c79608fe69807294436a",
+    "clt-d2-q": "9dc635cc76c34662d25126e2169f7c033abe75861bb886957f0df54bfa2283d7",
+    "cm-d1-q": "3b61b7b64efecd4fba01757a730e9fb45daef8c7a36885697e3c7c3a16c3b810",
 }
 
 

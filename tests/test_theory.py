@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import integrate, linalg
 
-from merw.params import ModelParams, RegimeError
+from merw.params import ModelParams, ParameterError, RegimeError
 from merw.theory import (
     CRITICAL,
     DIFFUSIVE,
@@ -13,7 +13,6 @@ from merw.theory import (
     classify_regime,
     cm_covariance,
     cm_mean_drift,
-    covariance_spec,
     critical_covariance,
     critical_memory,
     diffusive_covariance,
@@ -120,6 +119,21 @@ def test_diffusive_kernel_domain_errors():
         diffusive_covariance(ModelParams(1, 0.9), 1, 1)
     with pytest.raises(ValueError):
         diffusive_covariance(ModelParams(1, 0.5), 0, 1)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_kernels_refuse_non_finite_times(bad):
+    kernels = [
+        (diffusive_covariance, ModelParams(1, "1/2")),
+        (urn_diffusive_covariance, ModelParams(1, "1/2")),
+        (matrix_exponential_factor, ModelParams(1, "1/2")),
+        (critical_covariance, ModelParams(1, "3/4")),
+        (urn_critical_covariance, ModelParams(1, "3/4")),
+    ]
+    for kernel, params in kernels:
+        for s, t in ((bad, 1.0), (1.0, bad)):
+            with pytest.raises(ValueError, match="positive and finite"):
+                kernel(params, s, t)
 
 
 # ------------------------------------------------------------------- sigma_I
@@ -295,24 +309,23 @@ def test_cm_mean_drift_matches_moment_recursion():
         )
 
 
-# ------------------------------------------------------------- spec bundle
-
-def test_covariance_spec_diffusive():
-    params = ModelParams(2, 0.5)
-    spec = covariance_spec(params)
-    assert spec.regime == DIFFUSIVE
-    assert spec.sigma_i is not None
-    np.testing.assert_allclose(spec.kernel(0.5, 1.0), diffusive_covariance(params, 0.5, 1.0))
-
-
-def test_covariance_spec_critical():
-    params = ModelParams(1, "3/4")
-    spec = covariance_spec(params)
-    assert spec.regime == CRITICAL
-    assert spec.sigma_i is None
-    np.testing.assert_allclose(spec.kernel(0.4, 1.0), critical_covariance(params, 0.4, 1.0))
+@pytest.mark.parametrize("n", [2.5, 2.0, True, 0, "3"])
+def test_drifts_refuse_non_integer_horizons(n):
+    params = ModelParams(2, 0.6, 0.7)
+    with pytest.raises(ParameterError, match="n: expected an integer"):
+        mean_drift(params, n)
+    with pytest.raises(ParameterError, match="n: expected an integer"):
+        cm_mean_drift(params, n)
 
 
-def test_covariance_spec_superdiffusive_refuses():
-    with pytest.raises(RegimeError):
-        covariance_spec(ModelParams(1, 0.9))
+# ------------------------------------------------------------- public names
+
+def test_public_names_resolve_and_the_covariance_spec_is_gone():
+    import merw
+    import merw.theory
+
+    assert all(hasattr(merw, name) for name in merw.__all__)
+    for name in ("covariance_spec", "CovarianceSpec"):
+        assert name not in merw.__all__
+        assert not hasattr(merw, name)
+        assert not hasattr(merw.theory, name)

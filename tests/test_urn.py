@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 
 from merw.enumeration import step_distribution_exact
-from merw.params import ModelParams
+from merw.params import ModelParams, ParameterError
 from merw.urn import (
     added_colour_distribution_exact,
+    first_colour_law,
     lambda2_eigenspace_basis,
     mean_replacement_matrix,
     pairing_matrix,
     project_counts,
+    second_eigenvalue,
 )
 
 from tests._oracles import compositions
@@ -31,6 +33,22 @@ def test_urn_step_two_ball_example():
 def test_urn_step_requires_a_ball():
     with pytest.raises(ValueError, match="non-empty urn"):
         added_colour_distribution_exact([0, 0], ModelParams(1, 0.5))
+
+
+@pytest.mark.parametrize("counts", [[-1, 3], [3, -1], [1.5, 1], [True, 1], [1, 1, 0]])
+def test_both_laws_refuse_invalid_compositions(counts):
+    params = ModelParams(1, "1/2")
+    for law in (added_colour_distribution_exact, step_distribution_exact):
+        with pytest.raises(ParameterError, match="colour counts"):
+            law(counts, params)
+
+
+def test_first_colour_law_and_second_eigenvalue_are_generic():
+    # a Fraction gives exact values, a float the same expression in floats
+    assert first_colour_law(Fraction(7, 10), 4) == [Fraction(7, 10)] + [Fraction(1, 10)] * 3
+    assert first_colour_law(0.3, 2) == [0.3, 1 - 0.3]
+    assert second_eigenvalue(2, Fraction(5, 8)) == Fraction(1, 2)
+    assert second_eigenvalue(3, 0.9) == (6 * 0.9 - 1) / 5
 
 
 def test_added_colour_law_uniform_composition():

@@ -134,7 +134,7 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _write_json(record: dict, out_path: str | None) -> None:
-    _emit(json.dumps(record, indent=2) + "\n", out_path)
+    _emit(json.dumps(record, indent=2, allow_nan=False) + "\n", out_path)
 
 
 def cmd_simulate(args) -> int:

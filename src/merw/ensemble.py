@@ -13,7 +13,15 @@ running sum.
 
 Replica r draws from its own Philox substream keyed by (master_seed, r), so
 results do not depend on how work is batched and rerunning a configuration
-reproduces every path bit for bit.  The draws are exactly those of numpy's
+reproduces every path bit for bit.  The key is numpy's ``SeedSequence(
+master_seed, spawn_key=(r,))`` state (``replica_generator`` is that
+definition), computed for all replicas in one pass by ``replica_keys``: the
+seed words are mixed into the hash pool once, and only the spawn words of r
+are hashed per replica, over uint32 arrays.  Each replica still gets its own
+Philox, built by ``replica_generator`` from its key, because its words are
+read one ``random_raw`` call per replica and chunk, with a replica's pending
+32-bit half carried inside its generator from one call to the next.  The
+draws are exactly those of numpy's
 ``Generator`` calls: step 1 takes ``random()`` then ``integers(0, 2d-1)``,
 and each chunk of ``CHUNK_STEPS`` later steps takes ``integers(0, highs)``
 (highs = the step count before each step), ``random(width)`` and
@@ -36,6 +44,7 @@ positions are kept in the summary for median and fraction diagnostics.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -62,10 +71,105 @@ _DECODE_BLOCK = 256
 _TWO32 = np.uint64(2**32)
 
 
-def replica_generator(master_seed: int, replica: int) -> np.random.Generator:
-    """The independent substream for one replica: Philox keyed by (seed, r)."""
-    seq = np.random.SeedSequence(master_seed, spawn_key=(replica,))
-    return np.random.Generator(np.random.Philox(seq))
+def replica_generator(master_seed: int, replica: int, key: np.ndarray | None = None
+                      ) -> np.random.Generator:
+    """The independent substream for one replica: Philox keyed by (seed, r).
+
+    The key is the state of ``np.random.SeedSequence(master_seed,
+    spawn_key=(replica,))``.  A caller that holds it already, as a row of
+    :func:`replica_keys`, passes it as ``key``, and no ``SeedSequence`` is
+    built.
+    """
+    if key is None:
+        seed = np.random.SeedSequence(master_seed, spawn_key=(replica,))
+    else:
+        seed = _key_seed_type()(key)
+    return np.random.Generator(np.random.Philox(seed))
+
+
+# the constants of numpy's SeedSequence hash (O'Neill's seed_seq_fe)
+_M32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_SHIFT = np.uint32(16)
+
+
+def _hashmix(words, const, mult):
+    # one hashmix of uint32 words under hash constant ``const``: the hash and the next constant
+    after = const * mult & _M32
+    words = (words ^ np.uint32(const)) * np.uint32(after)
+    return words ^ (words >> _SHIFT), after
+
+
+def _mix(x, y):
+    words = _MIX_L * x - _MIX_R * y
+    return words ^ (words >> _SHIFT)
+
+
+def replica_keys(master_seed: int, replicas) -> np.ndarray:
+    """Philox keys of the substreams of ``replicas``, as (R, 2) uint64.
+
+    Row i equals ``np.random.SeedSequence(master_seed, spawn_key=(r,))
+    .generate_state(2, np.uint64)`` for r = replicas[i], the key
+    :func:`replica_generator` seeds Philox with.  The seed's two 32-bit words
+    (zero-padded to the pool size of 4) are mixed into the pool once; only the
+    spawn words of r, one below 2^32 and two from there on, are hashed per
+    replica, over uint32 arrays.
+    """
+    master_seed = check_integer("master_seed", master_seed, 0, 2**64 - 1)
+    r = np.asarray(replicas)
+    if r.ndim != 1 or r.dtype.kind not in "iu" or (r.size and r.min() < 0):
+        raise ParameterError("replica indices must be a 1-d array of non-negative integers")
+    r = r.astype(np.uint64)
+    const = _INIT_A
+    pool = []
+    for word in (master_seed & _M32, master_seed >> 32, 0, 0):
+        mixed, const = _hashmix(np.array([word], dtype=np.uint32), const, _MULT_A)
+        pool.append(mixed)
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                mixed, const = _hashmix(pool[src], const, _MULT_A)
+                pool[dst] = _mix(pool[dst], mixed)
+    low = (r & np.uint64(_M32)).astype(np.uint32)
+    for dst in range(4):
+        mixed, const = _hashmix(low, const, _MULT_A)
+        pool[dst] = _mix(pool[dst], mixed)
+    wide = np.flatnonzero(r >> np.uint64(32))
+    if wide.size:
+        high = (r[wide] >> np.uint64(32)).astype(np.uint32)
+        for dst in range(4):
+            mixed, const = _hashmix(high, const, _MULT_A)
+            pool[dst][wide] = _mix(pool[dst][wide], mixed)
+    state = np.empty((r.size, 4), dtype=np.uint32)
+    const = _INIT_B
+    for i in range(4):
+        state[:, i], const = _hashmix(pool[i], const, _MULT_B)
+    # numpy's rule: consecutive words, low word first, make one uint64
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+@functools.cache
+def _key_seed_type() -> type:
+    """The seed sequence that hands Philox one precomputed key and nothing else.
+
+    Built on first use, so that importing merw does not import numpy.random.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class KeySeed(ISeedSequence):
+        def __init__(self, key: np.ndarray):
+            self.key = key
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 2 or np.dtype(dtype) != np.uint64:
+                raise ValueError(
+                    f"a replica key is 2 uint64 words, not {n_words} words of {np.dtype(dtype)}"
+                )
+            return self.key
+
+    return KeySeed
 
 
 def _below(probability: float) -> np.uint64:
@@ -371,7 +475,8 @@ def simulate_replicas(
     master_seed = check_integer("master_seed", master_seed, 0, 2**64 - 1)
     times = sorted({check_integer("snapshot times", t, 1, n) for t in snapshot_times})
     time_slot = {t: i for i, t in enumerate(times)}
-    bitgens = [replica_generator(master_seed, r).bit_generator for r in range(R)]
+    keys = replica_keys(master_seed, np.arange(R))
+    bitgens = [replica_generator(master_seed, r, key).bit_generator for r, key in enumerate(keys)]
     held = np.full(R, -1, dtype=np.int64)
 
     colour = np.int8 if twod <= 127 else np.int32

@@ -14,8 +14,15 @@ Standard errors use normal-theory approximations (variance SE of
 v*sqrt(2/(R-1)), covariance SE from the bivariate-normal formula), which is
 adequate for the Gaussian-limit statistics under test.  The diffusive CLT and
 the critical Brownian limit share one check body and differ only in kernel,
-time scale and normalization.  Superdiffusive checks use ratio statistics so
-that nothing needs to be known about the law of the non-Gaussian limit.
+time scale and normalization.  That body evaluates each family of statistics
+(variances, means, cross-axis and cross-time covariances, increments) as one
+array over snapshots or time pairs, with the kernel's grid form from
+:mod:`merw.theory` evaluated once over all of them, and builds the checks in
+one pass at the end; elementwise float64 arithmetic gives the same bytes as
+one check at a time.  Superdiffusive checks use ratio statistics so that
+nothing needs to be known about the law of the non-Gaussian limit; a ratio
+of ladder medians whose earlier median is 0 is left out of the reported
+maximum, so every report is finite.
 
 ``BATTERIES`` is the one registry of the batteries: each entry names its
 runner, the regime it applies to, its default shape and grid, and the
@@ -25,7 +32,6 @@ suite read their battery shapes from it.
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from dataclasses import dataclass, field, replace
@@ -138,28 +144,39 @@ class VerificationReport:
         return lines
 
 
-def _two_sided(name, expected, observed, se, rel_floor=0.0, gating=True, note="") -> CheckResult:
-    tol = max(4.0 * se, rel_floor * abs(expected))
+def _checks(names, expected, observed, se, rel_floor=0.0, gating=True,
+            note="") -> list[CheckResult]:
+    """One gated comparison per name, over arrays that broadcast together, in C order.
+
+    A comparison passes when |observed - expected| <= max(4 se, rel_floor *
+    |expected|); its z is (observed - expected) / se where se > 0, else None.
+    """
+    expected, observed, se = (np.ravel(x) for x in np.broadcast_arrays(expected, observed, se))
+    wide, floor = 4.0 * se, rel_floor * np.abs(expected)
+    tol = np.where(floor > wide, floor, wide)  # Python's max(wide, floor)
     diff = observed - expected
-    z = float(diff / se) if se > 0 else None
-    return CheckResult(
-        name=name,
-        observed=float(observed),
-        expected=float(expected),
-        tolerance=float(tol),
-        z=z,
-        passed=bool(abs(diff) <= tol),
-        gating=gating,
-        note=note,
-    )
+    defined = se > 0
+    z = np.divide(diff, se, out=np.zeros_like(diff), where=defined)
+    passed = np.abs(diff) <= tol
+    return [
+        CheckResult(name, o, e, t, z_k if ok else None, p, gating, note)
+        for name, o, e, t, z_k, ok, p in zip(
+            names, observed.tolist(), expected.tolist(), tol.tolist(), z.tolist(),
+            defined.tolist(), passed.tolist(), strict=True)
+    ]
 
 
-def _variance_se(v_emp: float, replicas: int) -> float:
+def _two_sided(name, expected, observed, se, rel_floor=0.0, gating=True, note="") -> CheckResult:
+    return _checks([name], expected, observed, se, rel_floor, gating, note)[0]
+
+
+def _variance_se(v_emp, replicas: int):
     return abs(v_emp) * math.sqrt(2.0 / (replicas - 1))
 
 
-def _covariance_se(v1: float, v2: float, c: float, replicas: int) -> float:
-    return math.sqrt(max(v1 * v2 + c * c, 0.0) / (replicas - 1))
+def _covariance_se(v1, v2, c, replicas: int):
+    x = v1 * v2 + c * c
+    return np.sqrt(np.where(x < 0.0, 0.0, x) / (replicas - 1))
 
 
 def _verdict(checks: Sequence[CheckResult]) -> bool:
@@ -182,63 +199,86 @@ def _finish(theorem, regime, cfg, checks, t0, notes=None, extras=None) -> Verifi
     )
 
 
-def _gaussian_checks(cfg, summary, kernel, eff, mean_div, pair_div, floors, var_note="",
-                     increments=False) -> list[CheckResult]:
-    """Checks of a Gaussian limit with covariance ``kernel(params, eff_s, eff_t)``.
+def _gaussian_checks(cfg, summary, kernel, eff, mean_div, var_div, pair_div, floors,
+                     var_note="", increments=False) -> list[CheckResult]:
+    """Checks of a Gaussian limit whose covariance is a factor times I_d.
 
     Snapshot k (grid value k, summary column k) sits at effective time
-    ``eff[k]``; its mean is scaled by
-    ``mean_div[k]`` and the covariance of snapshots i and j by
-    ``pair_div(i, j)``.  ``floors`` are the relative floors of the variance
-    and cross-time gates.  With ``increments``, each cross-time check is
-    followed by one of the decorrelation of the increment from its start.
+    ``eff[k]``, and ``kernel(params, eff)`` is the (T, T) grid of factors.
+    The mean of snapshot k is scaled by ``mean_div[k]``, its covariance by
+    ``var_div[k]`` and the covariance of snapshots i < j by ``pair_div[i, j]``;
+    each broadcasts to its shape.  ``floors`` are the relative floors of the
+    variance and cross-time gates.  With ``increments``, each cross-time
+    check is followed by one of the decorrelation of the increment from its
+    start.  Every statistic is one (T, d), (T, axis pairs) or (time pairs, d)
+    array; the checks come out snapshot by snapshot, then time pair by time
+    pair, each axis by axis.
     """
     params, R, d = cfg.params, cfg.replicas, cfg.params.d
     key = "s" if cfg.snapshot_fractions is not None else "t"
     grid = cfg.snapshot_fractions if key == "s" else cfg.exponent_times
+    T = len(grid)
     var_floor, cross_floor = floors
+    snap, axis = np.arange(T), np.arange(d)
+    i, j = np.triu_indices(T, 1)  # time pairs in itertools.combinations order
+    a, b = np.triu_indices(d, 1)  # axis pairs, likewise
+    factor = kernel(params, eff)
+    mean_div = np.broadcast_to(mean_div, (T,))[:, None]
     cov = summary.position_cov
+    cov_k = cov[snap, snap] / np.broadcast_to(var_div, (T,))[:, None, None]
+    var = cov_k[:, axis, axis]
+    cross = cov[i, j][:, axis, axis] / np.broadcast_to(pair_div, (T, T))[i, j][:, None]
+    v_s, v_t = var[i], var[j]
+    drift = np.array([theory.mean_drift(params, t) for t in summary.times]) / mean_div
+
+    text = [str(g) for g in grid]  # as an f-string formats them, once per value
+    snapshots = [f"{key}={g}" for g in text]
+    pairs = [f"(s,t)=({text[x]},{text[y]})" for x, y in zip(i.tolist(), j.tolist())]
+    var_checks = _checks(
+        [f"var[{label}, axis={x}]" for label in snapshots for x in range(d)],
+        factor[snap, snap][:, None], var, _variance_se(var, R), var_floor, note=var_note)
+    mean_checks = _checks(
+        [f"mean[{label}, axis={x}]" for label in snapshots for x in range(d)],
+        drift, summary.mean_position / mean_div, summary.mean_se / mean_div,
+        note="centered at the exact finite-time mean")
+    c_emp = cov_k[:, a, b]
+    axis_checks = _checks(
+        [f"cross_axis[{label}, axes=({x},{y})]" for label in snapshots
+         for x, y in zip(a.tolist(), b.tolist())],
+        0.0, c_emp, _covariance_se(var[:, a], var[:, b], c_emp, R))
+    time_checks = _checks(
+        [f"cross_time[{pair}, axis={x}]" for pair in pairs for x in range(d)],
+        factor[i, j][:, None], cross, _covariance_se(v_s, v_t, cross, R), cross_floor)
+    if increments:
+        inc = cross - v_s
+        v_diff = v_t + v_s - 2 * cross
+        inc_checks = _checks(
+            [f"increment_decorrelation[{pair}, axis={x}]" for pair in pairs for x in range(d)],
+            0.0, inc, _covariance_se(v_diff, v_s, inc, R),
+            note="cov(Z_t - Z_s, Z_s); bias-free by the martingale structure")
+        time_checks = [c for both in zip(time_checks, inc_checks) for c in both]
+
+    per_axis = [c for both in zip(var_checks, mean_checks) for c in both]
+    Q = len(a)
     checks: list[CheckResult] = []
+    for k in range(T):
+        checks += per_axis[2 * d * k:2 * d * (k + 1)] + axis_checks[Q * k:Q * (k + 1)]
+    return checks + time_checks
 
-    for k, g in enumerate(grid):
-        expected = kernel(params, eff[k], eff[k])
-        cov_k = cov[k, k] / pair_div(k, k)
-        drift = theory.mean_drift(params, summary.times[k]) / mean_div[k]
-        for a in range(d):
-            v_emp = cov_k[a, a]
-            checks.append(_two_sided(
-                f"var[{key}={g}, axis={a}]", expected[a, a], v_emp,
-                _variance_se(v_emp, R), var_floor, note=var_note))
-            checks.append(_two_sided(
-                f"mean[{key}={g}, axis={a}]", drift[a],
-                summary.mean_position[k, a] / mean_div[k],
-                summary.mean_se[k, a] / mean_div[k],
-                note="centered at the exact finite-time mean"))
-        for a in range(d):
-            for b in range(a + 1, d):
-                c_emp = cov_k[a, b]
-                checks.append(_two_sided(
-                    f"cross_axis[{key}={g}, axes=({a},{b})]", 0.0, c_emp,
-                    _covariance_se(cov_k[a, a], cov_k[b, b], c_emp, R)))
 
-    for i, j in itertools.combinations(range(len(grid)), 2):
-        expected = kernel(params, eff[i], eff[j])
-        cross = cov[i, j] / pair_div(i, j)
-        v_s = cov[i, i] / pair_div(i, i)
-        v_t = cov[j, j] / pair_div(j, j)
-        pair = f"(s,t)=({grid[i]},{grid[j]})"
-        for a in range(d):
-            checks.append(_two_sided(
-                f"cross_time[{pair}, axis={a}]", expected[a, a], cross[a, a],
-                _covariance_se(v_s[a, a], v_t[a, a], cross[a, a], R), cross_floor))
-            if increments:
-                inc = cross[a, a] - v_s[a, a]
-                v_diff = v_t[a, a] + v_s[a, a] - 2 * cross[a, a]
-                checks.append(_two_sided(
-                    f"increment_decorrelation[{pair}, axis={a}]",
-                    0.0, inc, _covariance_se(v_diff, v_s[a, a], inc, R),
-                    note="cov(Z_t - Z_s, Z_s); bias-free by the martingale structure"))
-    return checks
+def _median_ratios(medians: np.ndarray) -> tuple[np.ndarray, str]:
+    """Ratios of adjacent ladder medians, later over earlier, and a note on the undefined ones.
+
+    A pair whose earlier median is 0 has no ratio: it reads 0.0, which no
+    maximum of the ratios (all >= 0) picks up, and its gate fails on its own
+    terms.  The note counts such pairs, and is empty when there are none.
+    """
+    earlier = medians[:-1]
+    defined = earlier != 0
+    ratios = np.divide(medians[1:], earlier, out=np.zeros(len(earlier)), where=defined)
+    undefined = len(earlier) - int(np.count_nonzero(defined))
+    note = f"; {undefined} pair(s) with an earlier median of 0 have no ratio" if undefined else ""
+    return ratios, note
 
 
 def verify_diffusive_clt(cfg: EnsembleConfig) -> VerificationReport:
@@ -249,10 +289,11 @@ def verify_diffusive_clt(cfg: EnsembleConfig) -> VerificationReport:
     summary = run_ensemble(cfg)
     n = cfg.n
     checks = _gaussian_checks(
-        cfg, summary, theory.diffusive_covariance,
+        cfg, summary, theory.diffusive_covariance_grid,
         eff=[m / n for m in summary.times],
-        mean_div=[math.sqrt(n)] * len(summary.times),
-        pair_div=lambda i, j: n,
+        mean_div=math.sqrt(n),
+        var_div=n,
+        pair_div=n,
         floors=(REL_FLOOR_VARIANCE, REL_FLOOR_CROSS_TIME),
     )
     return _finish("diffusive_clt", report.regime, cfg, checks, t0)
@@ -310,10 +351,11 @@ def verify_critical(cfg: EnsembleConfig) -> VerificationReport:
     log_n = math.log(cfg.n)
     norms = [math.sqrt(log_n * m) for m in summary.times]  # sqrt(log n) * n^(t_eff/2)
     checks = _gaussian_checks(
-        cfg, summary, theory.critical_covariance,
+        cfg, summary, theory.critical_covariance_grid,
         eff=[math.log(m) / log_n for m in summary.times],
         mean_div=norms,
-        pair_div=lambda i, j: norms[i] ** 2 if i == j else norms[i] * norms[j],
+        var_div=[x ** 2 for x in norms],
+        pair_div=np.outer(norms, norms),
         floors=(REL_FLOOR_CRITICAL, REL_FLOOR_CRITICAL),
         var_note="15% floor: convergence is logarithmic",
         increments=True,
@@ -345,7 +387,7 @@ def verify_superdiffusive(cfg: EnsembleConfig, epsilon: float = 0.05) -> Verific
     z = pos / times[None, :, None] ** alpha
     inc_norms = np.linalg.norm(np.diff(z, axis=1), axis=2)  # (R, T-1)
     medians = np.median(inc_norms, axis=0)
-    ratios = medians[1:] / medians[:-1]
+    ratios, undefined = _median_ratios(medians)
     checks.append(CheckResult(
         name="ladder_increment_medians_decreasing",
         observed=float(ratios.max()),
@@ -354,7 +396,8 @@ def verify_superdiffusive(cfg: EnsembleConfig, epsilon: float = 0.05) -> Verific
         z=None,
         passed=bool(np.all(np.diff(medians) < 0)),
         gating=False,
-        note="observed = max adjacent median ratio; diagnostic only, no rate is claimed",
+        note="observed = max adjacent median ratio; diagnostic only, no rate is claimed"
+        + undefined,
     ))
 
     # (ii) second-moment scaling via ratios against the final time
@@ -413,20 +456,20 @@ def verify_slln(cfg: EnsembleConfig, eps: float = 0.01, min_fraction: float = 0.
     pos = summary.positions.astype(np.float64)
     scaled = np.linalg.norm(pos / times[None, :, None], axis=2)  # (R, T)
     medians = np.median(scaled, axis=0)
+    ratios, undefined = _median_ratios(medians)
     checks: list[CheckResult] = [CheckResult(
         name="ladder_medians_decreasing",
-        observed=float((medians[1:] / medians[:-1]).max()),
+        observed=float(ratios.max()),
         expected=None,
         tolerance=None,
         z=None,
         passed=bool(np.all(np.diff(medians) < 0)),
         gating=True,
-        note="observed = max adjacent median ratio of |S_t/t|",
+        note="observed = max adjacent median ratio of |S_t/t|" + undefined,
     )]
     if report.regime == theory.SUPERDIFFUSIVE:
-        for k in range(len(times) - 1):
+        for k, observed in enumerate(ratios):
             expected = (times[k + 1] / times[k]) ** (report.alpha - 1.0)
-            observed = medians[k + 1] / medians[k]
             checks.append(CheckResult(
                 name=f"ladder_decay_ratio[{int(times[k])}->{int(times[k + 1])}]",
                 observed=float(observed),
@@ -435,7 +478,8 @@ def verify_slln(cfg: EnsembleConfig, eps: float = 0.01, min_fraction: float = 0.
                 z=None,
                 passed=bool(expected / 2.0 < observed < expected * 2.0),
                 gating=True,
-                note="median ratio must fall within a factor 2 of the predicted decay",
+                note="median ratio must fall within a factor 2 of the predicted decay"
+                + ("" if medians[k] else "; the earlier median is 0, so there is no ratio"),
             ))
     else:
         frac = float(np.mean(scaled[:, -1] < eps))

@@ -6,7 +6,9 @@ a centered Gaussian process; at it a Brownian limit appears under a
 logarithmic normalization; above it the walk stabilizes almost surely at
 scale n^alpha with alpha = (2dp-1)/(2d-1).  All kernels here are explicit
 and all eigen-decompositions use the rank-one structure of the replacement
-matrix rather than numerical solvers.  alpha, the first-step law and the
+matrix rather than numerical solvers.  The two Gaussian walk kernels also
+come as grid forms (``*_covariance_grid``) that evaluate the one formula over
+every pair of a set of times in one call.  alpha, the first-step law and the
 pairing map are read from :mod:`merw.urn`; the batteries of
 :mod:`merw.montecarlo` choose which kernel gates which regime.
 """
@@ -102,6 +104,30 @@ def _order_times(s: float, t: float) -> tuple[float, float]:
     return (s, t) if s <= t else (t, s)
 
 
+def _kernel_grid(factor, params: ModelParams, times) -> np.ndarray:
+    # the (T, T) factors on I_d of a kernel at every pair of times, one call of its formula
+    times = np.asarray(times, dtype=np.float64)
+    if times.ndim != 1 or not np.all((0 < times) & (times < math.inf)):
+        raise ValueError(f"times must be a 1-d array of positive finite values, got {times}")
+    a, b = np.triu_indices(len(times))
+    grid = np.empty((len(times), len(times)))
+    grid[a, b] = grid[b, a] = factor(params, np.minimum(times[a], times[b]),
+                                     np.maximum(times[a], times[b]))
+    return grid
+
+
+def _diffusive_factor(params: ModelParams, s, t):
+    # the kernel's factor on I_d at ordered times s <= t, floats or arrays; the power is
+    # libm's pow one float at a time, as numpy's vectorized power may round differently
+    d, p = params.d, params.p
+    alpha = memory_exponent(params)
+    prefactor = (2 * d - 1.0) / (d * (1.0 + 2 * d - 4 * d * p))
+    ratio = t / s
+    if isinstance(ratio, np.ndarray):
+        return prefactor * s * np.array([r ** alpha for r in ratio.tolist()])
+    return prefactor * s * ratio ** alpha
+
+
 def diffusive_covariance(params: ModelParams, s: float, t: float) -> np.ndarray:
     """Walk-level limit kernel in the diffusive regime.
 
@@ -112,9 +138,17 @@ def diffusive_covariance(params: ModelParams, s: float, t: float) -> np.ndarray:
     """
     _require_regime(params, DIFFUSIVE, "the diffusive covariance kernel")
     s, t = _order_times(s, t)
-    d, p = params.d, params.p
-    prefactor = (2 * d - 1.0) / (d * (1.0 + 2 * d - 4 * d * p))
-    return prefactor * s * (t / s) ** memory_exponent(params) * np.eye(d)
+    return _diffusive_factor(params, s, t) * np.eye(params.d)
+
+
+def diffusive_covariance_grid(params: ModelParams, times) -> np.ndarray:
+    """The diffusive kernel over every pair of ``times``, as its (T, T) factors on I_d.
+
+    Entry (i, j) equals ``diffusive_covariance(params, times[i], times[j])[0, 0]``
+    bit for bit; the regime is checked once.
+    """
+    _require_regime(params, DIFFUSIVE, "the diffusive covariance kernel")
+    return _kernel_grid(_diffusive_factor, params, times)
 
 
 def _centring(twod: int) -> np.ndarray:
@@ -154,11 +188,26 @@ def urn_diffusive_covariance(params: ModelParams, s: float, t: float) -> np.ndar
     return s * sigma_I(params) @ matrix_exponential_factor(params, s, t)
 
 
+def _critical_factor(params: ModelParams, s, t):
+    # the kernel's factor on I_d at ordered times s <= t, floats or arrays
+    return s / params.d
+
+
 def critical_covariance(params: ModelParams, s: float, t: float) -> np.ndarray:
     """Walk-level limit kernel at criticality: (1/d) * min(s, t) * I_d."""
     _require_regime(params, CRITICAL, "the critical covariance kernel")
     s, t = _order_times(s, t)
-    return (s / params.d) * np.eye(params.d)
+    return _critical_factor(params, s, t) * np.eye(params.d)
+
+
+def critical_covariance_grid(params: ModelParams, times) -> np.ndarray:
+    """The critical kernel over every pair of ``times``, as its (T, T) factors on I_d.
+
+    Entry (i, j) equals ``critical_covariance(params, times[i], times[j])[0, 0]``
+    bit for bit; the regime is checked once.
+    """
+    _require_regime(params, CRITICAL, "the critical covariance kernel")
+    return _kernel_grid(_critical_factor, params, times)
 
 
 def urn_critical_covariance(params: ModelParams, s: float, t: float) -> np.ndarray:

@@ -314,6 +314,19 @@ def test_verify_clt_passes_and_writes_report(capsys, tmp_path):
     assert record["results"]["passed"] is True
 
 
+def test_verify_writes_strict_json_where_a_ladder_median_is_zero(capsys, tmp_path):
+    out = tmp_path / "x.json"
+    code, _, _ = run_cli(capsys, "verify", "slln", "-d", "1", "-p", "2/5", "-n", "2000",
+                         "--replicas", "20", "--seed", "12", "--out", str(out))
+    assert code == 1
+
+    def refuse(constant):
+        raise ValueError(f"non-finite JSON constant {constant}")
+
+    record = json.loads(out.read_text(), parse_constant=refuse)
+    validate_record(record, "verify.schema.json")
+
+
 def test_verify_statistical_failure_exits_1(capsys):
     # at n = 2000 the finite-size bias plus this seed's noise pushes one
     # variance outside its gate: a deterministic statistical failure

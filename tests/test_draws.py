@@ -3,14 +3,29 @@
 ``simulate_replicas`` reads raw Philox words and decodes them by numpy's
 rules; these tests compare it with the per-replica ``Generator`` lockstep
 reference (``tests._oracles.lockstep_replicas``) and its decoder with
-``Generator.integers``/``random`` on the same substreams.
+``Generator.integers``/``random`` on the same substreams.  The simulator keys
+each replica's Philox from ``replica_keys``, a vectorized ``SeedSequence``;
+``replica_generator`` without a key is the definition it is compared with.
 """
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from merw.ensemble import CHUNK_STEPS, _decoded_blocks, replica_generator, simulate_replicas
-from merw.params import ModelParams
+import merw
+from merw.ensemble import (
+    CHUNK_STEPS,
+    _decoded_blocks,
+    _key_seed_type,
+    replica_generator,
+    replica_keys,
+    simulate_replicas,
+)
+from merw.params import ModelParams, ParameterError
 
 from tests._oracles import lockstep_replicas
 
@@ -46,7 +61,8 @@ def test_decoder_matches_numpy_where_half_the_draws_reject():
     # value and pending half must equal numpy's own calls on the same substream
     R, seed = 300, 77  # two decode blocks
     rng = np.random.default_rng(5)
-    bitgens = [replica_generator(seed, r).bit_generator for r in range(R)]
+    keys = replica_keys(seed, np.arange(R))
+    bitgens = [replica_generator(seed, r, key).bit_generator for r, key in enumerate(keys)]
     reference = [replica_generator(seed, r) for r in range(R)]
     held = np.full(R, -1, dtype=np.int64)
     for call, size in enumerate((5, 4, 7)):
@@ -67,3 +83,60 @@ def test_decoder_matches_numpy_where_half_the_draws_reject():
             np.testing.assert_array_equal(mine["state"]["counter"], state["state"]["counter"])
         if call == 0:
             assert 0 < np.count_nonzero(held >= 0) < R  # both pending groups occur next
+
+
+@pytest.mark.parametrize("seed", [0, 123, 2**32, 2**40 + 7, 2**64 - 1])
+def test_replica_keys_equal_seed_sequence_keys(seed):
+    # one and two seed words, one and two spawn words, without a 2^32-long array
+    edges = [0, 1, 255, 256, 2**32 - 1, 2**32, 2**32 + 1]
+    replicas = np.concatenate([np.array(edges, dtype=np.uint64), np.arange(300, dtype=np.uint64)])
+    expected = [
+        np.random.SeedSequence(seed, spawn_key=(r,)).generate_state(2, np.uint64).tolist()
+        for r in replicas.tolist()
+    ]
+    assert replica_keys(seed, replicas).tolist() == expected
+
+
+def test_replica_keys_refuse_bad_input():
+    for seed, replicas in ((-1, [0]), (2**64, [0]), (1, [-1]), (1, [[0]]), (1, [0.5])):
+        with pytest.raises(ParameterError):
+            replica_keys(seed, replicas)
+
+
+def test_key_seed_hands_philox_its_key_and_nothing_else():
+    key = replica_keys(5, np.arange(4))[3]
+    seed = _key_seed_type()(key)
+    np.testing.assert_array_equal(
+        replica_generator(5, 3, key).bit_generator.random_raw(8),
+        replica_generator(5, 3).bit_generator.random_raw(8),
+    )
+    for n_words, dtype in ((2, np.uint32), (4, np.uint32), (1, np.uint64), (4, np.uint64)):
+        with pytest.raises(ValueError):
+            seed.generate_state(n_words, dtype)
+    with pytest.raises(ValueError):
+        np.random.PCG64(seed)  # asks for four uint64 words
+
+
+def test_simulate_replicas_builds_no_seed_sequence(monkeypatch):
+    calls = []
+    real = np.random.SeedSequence
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "SeedSequence", counting)
+    replica_generator(9, 0)  # the wrapper sees the definition's own construction
+    assert len(calls) == 1
+    calls.clear()
+    simulate_replicas(ModelParams(2, "1/2"), 3, [3], 9, 1000)
+    assert calls == []
+
+
+def test_importing_merw_leaves_numpy_random_unloaded():
+    # numpy.random loads on the first simulation, so the CLI's other commands start faster
+    src = str(Path(merw.__file__).resolve().parents[1])
+    code = "import sys, merw.cli; assert 'numpy.random' not in sys.modules, 'loaded'"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr

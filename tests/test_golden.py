@@ -1,4 +1,4 @@
-"""Golden digests of sampled paths and of four battery reports: the alarm for
+"""Golden digests of sampled paths and of seven battery reports: the alarm for
 kernel, check or numpy stream drift.
 
 Each case pins the SHA-256 of ``simulate_replicas`` positions (and of the
@@ -79,16 +79,26 @@ REPORT_CASES = [
     # q != 1/2: the first-step law reaches the reports through the mean drift
     ("clt-d2-q", "clt", (2, "1/2", "7/10"), 400, (0.25, 0.5, 0.75, 1.0), 2026, 300),
     ("cm-d1-q", "cm", (1, "1/2", 0.3), 400, (1.0,), 2027, 300),
+    # the check layout: d = 1 has no cross-axis checks, d = 3 has three axis pairs and
+    # increments, and the 100-fraction grid pins the order of its 4950 time pairs
+    ("clt-d1", "clt", (1, "1/2", "1/2"), 400, (0.25, 0.5, 0.75, 1.0), 2028, 300),
+    ("critical-d3", "critical", (3, "7/12", "1/2"), 400, (0.5, 0.75, 1.0), 2029, 300),
+    ("clt-d2-grid", "clt", (2, "1/2", "1/2"), 200, tuple(k / 100 for k in range(1, 101)), 2030,
+     500),
 ]
 
 #: SHA-256 of json.dumps(report.canonical_dict(), sort_keys=True), pinned before the
 #: CLT and critical batteries shared one check body (the q != 1/2 cases before the
-#: first-step law moved to ``urn.first_colour_law``); same numpy caveat as above.
+#: first-step law moved to ``urn.first_colour_law``, the check-layout cases before the
+#: check body was evaluated as arrays); same numpy caveat as above.
 GOLDEN_REPORTS = {
     "clt-d2": "a39af2d9308a905a25b87552c30ff5f13849dcf8fd2ed14c73ed8a8fa393b343",
     "critical-d2": "562b342d6aa9385e7be31312449af3c9c6c8d42d6a80c79608fe69807294436a",
     "clt-d2-q": "9dc635cc76c34662d25126e2169f7c033abe75861bb886957f0df54bfa2283d7",
     "cm-d1-q": "3b61b7b64efecd4fba01757a730e9fb45daef8c7a36885697e3c7c3a16c3b810",
+    "clt-d1": "8571ca8ae2905af6fca441f796fd1a23f800e0082913fb8b92ddb7c242c6e767",
+    "critical-d3": "88eac88dde790d8ffd6d904c19f9d9f0272c01e3002d73e5e9931b1cf2a8932b",
+    "clt-d2-grid": "df017fd5ff5d98dd836c92d9c4a76d882340df8f98c9ca3d3b3f777383c12347",
 }
 
 

@@ -1,10 +1,13 @@
 import json
+import warnings
 
+import numpy as np
 import pytest
 
 from merw.ensemble import EnsembleConfig
 from merw.montecarlo import (
     BATTERIES,
+    _median_ratios,
     verify_center_of_mass,
     verify_critical,
     verify_diffusive_clt,
@@ -108,6 +111,30 @@ def test_slln_battery_superdiffusive_uses_decay_ratios():
     names = [c.name for c in report.checks]
     assert any("ladder_decay_ratio" in n for n in names)
     assert not any("final_fraction" in n for n in names)
+
+
+def test_slln_report_stays_finite_where_a_ladder_median_is_zero():
+    # at t = floor(10^-3 * 2000) = 2 most replicas sit at S_2 = 0, so the first median is 0
+    cfg = BATTERIES["slln"].config(ModelParams(1, "2/5"), 12, n=2000, replicas=20)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = verify_slln(cfg)
+    assert report.extras["medians"][0] == 0.0
+    check = report.checks[0]
+    assert check.name == "ladder_medians_decreasing" and not check.passed
+    assert check.observed == max(b / a for a, b in zip(report.extras["medians"][1:],
+                                                       report.extras["medians"][2:]))
+    assert "1 pair(s) with an earlier median of 0" in check.note
+    json.dumps(report.to_dict(), allow_nan=False)
+
+
+def test_median_ratios_leave_out_undefined_pairs():
+    ratios, note = _median_ratios(np.array([0.0, 0.0, 2.0, 1.0]))
+    assert ratios.tolist() == [0.0, 0.0, 0.5]
+    assert note == "; 2 pair(s) with an earlier median of 0 have no ratio"
+    ratios, note = _median_ratios(np.array([0.0, 0.0]))
+    assert ratios.max() == 0.0 and note.startswith("; 1 pair(s)")
+    assert _median_ratios(np.array([4.0, 2.0, 1.0]))[1] == ""
 
 
 def test_center_of_mass_battery_passes():

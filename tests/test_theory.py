@@ -14,8 +14,10 @@ from merw.theory import (
     cm_covariance,
     cm_mean_drift,
     critical_covariance,
+    critical_covariance_grid,
     critical_memory,
     diffusive_covariance,
+    diffusive_covariance_grid,
     matrix_exponential_factor,
     mean_drift,
     memory_exponent,
@@ -281,6 +283,34 @@ def test_kernels_are_psd_on_finite_grids():
         np.testing.assert_allclose(gram, gram.T, atol=1e-14)
         assert np.linalg.eigvalsh(gram).min() >= -1e-10
         np.linalg.cholesky(gram + 1e-10 * np.eye(gram.shape[0]))
+
+
+@pytest.mark.parametrize(
+    "params, scalar, grid",
+    [
+        (ModelParams(1, 0.5), diffusive_covariance, diffusive_covariance_grid),
+        (ModelParams(2, "1/2"), diffusive_covariance, diffusive_covariance_grid),
+        (ModelParams(3, 0.2), diffusive_covariance, diffusive_covariance_grid),
+        (ModelParams(1, "3/4"), critical_covariance, critical_covariance_grid),
+        (ModelParams(3, "7/12"), critical_covariance, critical_covariance_grid),
+    ],
+)
+def test_kernel_grids_equal_the_scalar_kernels_bit_for_bit(params, scalar, grid):
+    # unsorted times and a repeated time; every entry is the scalar kernel's own float
+    times = [0.37, 0.01, 1.0, 0.5, 0.37, 0.123456789, 0.99]
+    got = grid(params, times)
+    want = [[scalar(params, s, t)[0, 0] for t in times] for s in times]
+    assert got.tolist() == want
+
+
+def test_kernel_grids_refuse_bad_times_and_regimes():
+    for bad in ([0.5, 0.0], [np.nan, 1.0], [1.0, np.inf], [[0.5, 1.0]]):
+        with pytest.raises(ValueError):
+            diffusive_covariance_grid(ModelParams(1, 0.5), bad)
+    with pytest.raises(RegimeError):
+        diffusive_covariance_grid(ModelParams(1, "3/4"), [0.5, 1.0])
+    with pytest.raises(RegimeError):
+        critical_covariance_grid(ModelParams(1, 0.5), [0.5, 1.0])
 
 
 # ------------------------------------------------------------------ drifts

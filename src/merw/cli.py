@@ -19,7 +19,8 @@ import numpy as np
 
 from .ensemble import DEFAULT_STEP_BUDGET, grid_times, simulate_replicas
 from .montecarlo import BATTERIES
-from .params import BudgetError, ModelParams, ParameterError, RegimeError, check_integer
+from .params import (BudgetError, ModelParams, ParameterError, RegimeError, check_budget,
+                     check_integer)
 from .theory import classify_regime
 from .urn import mean_replacement_matrix
 
@@ -101,14 +102,17 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--out", type=str, default=None, help="output path; default stdout")
     sim.add_argument("--budget", type=int, default=DEFAULT_STEP_BUDGET,
                      help="maximum total steps replicas*n")
+    sim.set_defaults(run=cmd_simulate)
 
     cls = sub.add_parser("classify", help="regime classification for (d, p)")
     _add_common(cls)
     cls.add_argument("--out", type=str, default=None)
+    cls.set_defaults(run=cmd_classify)
 
     spec = sub.add_parser("spectrum", help="mean replacement matrix and its spectral data")
     _add_common(spec)
     spec.add_argument("--out", type=str, default=None)
+    spec.set_defaults(run=cmd_spectrum)
 
     ver = sub.add_parser("verify", help="run a statistical verification battery")
     ver.add_argument("theorem", choices=VERIFY_SELECTORS)
@@ -122,6 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
     vgrid.add_argument("--exponents", type=str, default=None)
     ver.add_argument("--out", type=str, default=None, help="write the JSON report here")
     ver.add_argument("--budget", type=int, default=DEFAULT_STEP_BUDGET)
+    ver.set_defaults(run=cmd_verify)
     return parser
 
 
@@ -142,15 +147,9 @@ def cmd_simulate(args) -> int:
     seed = _resolve_seed(args)
     n = check_integer("horizon", args.horizon, 1)
     replicas = check_integer("replicas", args.replicas, 1)
-    if replicas * n > args.budget:
-        raise BudgetError(
-            f"simulation needs {replicas} x {n} = {replicas * n} steps, "
-            f"exceeding the step budget of {args.budget}"
-        )
+    check_budget(replicas, n, args.budget)
     if args.snapshots is not None:
-        times = sorted(set(_comma_list(args.snapshots, int)))
-        if not times or times[0] < 1 or times[-1] > n:
-            raise ParameterError(f"snapshot times must lie in [1, {n}], got {times}")
+        times = sorted(set(_comma_list(args.snapshots, int)))  # range-checked by simulate_replicas
     elif args.fractions is not None:
         times = grid_times(_comma_list(args.fractions, float), n)
     elif args.exponents is not None:
@@ -265,15 +264,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as err:
         return err.code if isinstance(err.code, int) else EXIT_USAGE
     try:
-        if args.command == "simulate":
-            return cmd_simulate(args)
-        if args.command == "classify":
-            return cmd_classify(args)
-        if args.command == "spectrum":
-            return cmd_spectrum(args)
-        if args.command == "verify":
-            return cmd_verify(args)
-        raise ParameterError(f"unknown command {args.command!r}")
+        return args.run(args)
     except (ParameterError, RegimeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE

@@ -51,7 +51,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .params import BudgetError, ModelParams, ParameterError, check_integer
+from .params import ModelParams, ParameterError, check_budget, check_integer
 from .urn import project_counts
 
 #: Steps prefetched per chunk.  Part of the determinism contract: changing it
@@ -193,8 +193,9 @@ def grid_times(grid: Sequence[float], n: int, exponent: bool = False) -> tuple[i
         raise ParameterError(f"snapshot grid values must lie in (0, 1], got {grid}")
     if list(grid) != sorted(set(grid)):
         raise ParameterError(f"snapshot grid must be strictly increasing, got {grid}")
-    # tolerate decimal fractions whose float product lands just below an integer
-    times = tuple(int(math.floor((n**g if exponent else g * n) + 1e-9)) for g in grid)
+    # a decimal value's float product may land a few ulps below an integer: floor it up
+    values = (n**g if exponent else g * n for g in grid)
+    times = tuple(int(math.floor(x + max(1e-9, 4 * math.ulp(x)))) for x in values)
     if times[0] < 1:
         raise ParameterError(f"smallest snapshot time is below 1 at horizon n = {n}")
     collisions = [
@@ -233,22 +234,14 @@ class EnsembleConfig:
         check_integer("replicas", self.replicas, 2)
         check_integer("horizon n", self.n, 1, MAX_STEPS)
         check_integer("master_seed", self.master_seed, 0, 2**64 - 1)
-        total_steps = self.replicas * self.n
-        if total_steps > self.step_budget:
-            raise BudgetError(
-                f"ensemble needs {self.replicas} x {self.n} = {total_steps} steps, "
-                f"exceeding the step budget of {self.step_budget}; raise step_budget "
-                "to run anyway"
-            )
+        check_budget(self.replicas, self.n, self.step_budget)
         if (self.snapshot_fractions is None) == (self.exponent_times is None):
             raise ParameterError(
                 "exactly one of snapshot_fractions and exponent_times must be given"
             )
-        exponent = self.snapshot_fractions is None
-        field_name = "exponent_times" if exponent else "snapshot_fractions"
-        grid = tuple(float(g) for g in getattr(self, field_name))
-        grid_times(grid, self.n, exponent)
-        object.__setattr__(self, field_name, grid)
+        field_name = "exponent_times" if self.snapshot_fractions is None else "snapshot_fractions"
+        object.__setattr__(self, field_name, tuple(float(g) for g in getattr(self, field_name)))
+        self.snapshot_times()  # validates the grid
 
     def snapshot_times(self) -> tuple[int, ...]:
         """Integer snapshot times implied by the grid, strictly increasing."""

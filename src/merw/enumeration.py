@@ -106,7 +106,7 @@ def exact_small_n_pmf(
     if engine not in ("walk", "urn"):
         raise ParameterError(f"engine must be 'walk' or 'urn', got {engine!r}")
     n = check_integer("n", n, 1)
-    budget = max_n if max_n is not None else n_budget(params.d)
+    budget = n_budget(params.d) if max_n is None else check_integer("max_n", max_n, 1)
     if n > budget:
         raise BudgetError(
             f"enumeration of n = {n} at d = {params.d} exceeds the budget of "

@@ -14,15 +14,15 @@ Standard errors use normal-theory approximations (variance SE of
 v*sqrt(2/(R-1)), covariance SE from the bivariate-normal formula), which is
 adequate for the Gaussian-limit statistics under test.  The diffusive CLT and
 the critical Brownian limit share one check body and differ only in kernel,
-time scale and normalization.  That body evaluates each family of statistics
-(variances, means, cross-axis and cross-time covariances, increments) as one
-array over snapshots or time pairs, with the kernel's grid form from
-:mod:`merw.theory` evaluated once over all of them, and builds the checks in
-one pass at the end; elementwise float64 arithmetic gives the same bytes as
-one check at a time.  Superdiffusive checks use ratio statistics so that
-nothing needs to be known about the law of the non-Gaussian limit; a ratio
-of ladder medians whose earlier median is 0 is left out of the reported
-maximum, so every report is finite.
+time scale and normalization.  That body and the centre-of-mass battery gate
+each family of statistics (variances, means, cross-axis and cross-time
+covariances, increments) as one array over snapshots, time pairs or axes,
+with the :mod:`merw.theory` kernel called on the snapshots and on the time
+pairs; elementwise float64 arithmetic gives the same bytes as one check at a
+time.  Superdiffusive checks use ratio statistics so that nothing needs to be
+known about the law of the non-Gaussian limit.  The SLLN and superdiffusive
+batteries share one ladder statistic, whose ratios leave out a ladder median
+of 0, so every report is finite.
 
 ``BATTERIES`` is the one registry of the batteries: each entry names its
 runner, the regime it applies to, its default shape and grid, and the
@@ -166,10 +166,6 @@ def _checks(names, expected, observed, se, rel_floor=0.0, gating=True,
     ]
 
 
-def _two_sided(name, expected, observed, se, rel_floor=0.0, gating=True, note="") -> CheckResult:
-    return _checks([name], expected, observed, se, rel_floor, gating, note)[0]
-
-
 def _variance_se(v_emp, replicas: int):
     return abs(v_emp) * math.sqrt(2.0 / (replicas - 1))
 
@@ -204,7 +200,8 @@ def _gaussian_checks(cfg, summary, kernel, eff, mean_div, var_div, pair_div, flo
     """Checks of a Gaussian limit whose covariance is a factor times I_d.
 
     Snapshot k (grid value k, summary column k) sits at effective time
-    ``eff[k]``, and ``kernel(params, eff)`` is the (T, T) grid of factors.
+    ``eff[k]``; ``kernel(params, s, t)`` is evaluated at the T snapshots and
+    the time pairs i < j only, not on a full (T, T) grid.
     The mean of snapshot k is scaled by ``mean_div[k]``, its covariance by
     ``var_div[k]`` and the covariance of snapshots i < j by ``pair_div[i, j]``;
     each broadcasts to its shape.  ``floors`` are the relative floors of the
@@ -222,7 +219,7 @@ def _gaussian_checks(cfg, summary, kernel, eff, mean_div, var_div, pair_div, flo
     snap, axis = np.arange(T), np.arange(d)
     i, j = np.triu_indices(T, 1)  # time pairs in itertools.combinations order
     a, b = np.triu_indices(d, 1)  # axis pairs, likewise
-    factor = kernel(params, eff)
+    eff = np.asarray(eff, dtype=np.float64)
     mean_div = np.broadcast_to(mean_div, (T,))[:, None]
     cov = summary.position_cov
     cov_k = cov[snap, snap] / np.broadcast_to(var_div, (T,))[:, None, None]
@@ -236,7 +233,8 @@ def _gaussian_checks(cfg, summary, kernel, eff, mean_div, var_div, pair_div, flo
     pairs = [f"(s,t)=({text[x]},{text[y]})" for x, y in zip(i.tolist(), j.tolist())]
     var_checks = _checks(
         [f"var[{label}, axis={x}]" for label in snapshots for x in range(d)],
-        factor[snap, snap][:, None], var, _variance_se(var, R), var_floor, note=var_note)
+        kernel(params, eff, eff)[:, axis, axis], var, _variance_se(var, R), var_floor,
+        note=var_note)
     mean_checks = _checks(
         [f"mean[{label}, axis={x}]" for label in snapshots for x in range(d)],
         drift, summary.mean_position / mean_div, summary.mean_se / mean_div,
@@ -248,7 +246,8 @@ def _gaussian_checks(cfg, summary, kernel, eff, mean_div, var_div, pair_div, flo
         0.0, c_emp, _covariance_se(var[:, a], var[:, b], c_emp, R))
     time_checks = _checks(
         [f"cross_time[{pair}, axis={x}]" for pair in pairs for x in range(d)],
-        factor[i, j][:, None], cross, _covariance_se(v_s, v_t, cross, R), cross_floor)
+        kernel(params, eff[i], eff[j])[:, axis, axis], cross, _covariance_se(v_s, v_t, cross, R),
+        cross_floor)
     if increments:
         inc = cross - v_s
         v_diff = v_t + v_s - 2 * cross
@@ -281,6 +280,21 @@ def _median_ratios(medians: np.ndarray) -> tuple[np.ndarray, str]:
     return ratios, note
 
 
+def _ladder(values: np.ndarray, name: str, gating: bool, note: str
+            ) -> tuple[CheckResult, np.ndarray, np.ndarray]:
+    """The check that the medians of (R, T) ``values`` fall along the ladder.
+
+    It observes the largest adjacent median ratio (see :func:`_median_ratios`)
+    and passes when the medians decrease strictly.  Returns the check, the T
+    medians and the T - 1 ratios.
+    """
+    medians = np.median(values, axis=0)
+    ratios, undefined = _median_ratios(medians)
+    check = CheckResult(name, float(ratios.max()), passed=bool(np.all(np.diff(medians) < 0)),
+                        gating=gating, note=note + undefined)
+    return check, medians, ratios
+
+
 def verify_diffusive_clt(cfg: EnsembleConfig) -> VerificationReport:
     """Gaussian limit of S_{floor(sn)}/sqrt(n): variances, cross-time and
     cross-axis covariances against the diffusive kernel."""
@@ -289,7 +303,7 @@ def verify_diffusive_clt(cfg: EnsembleConfig) -> VerificationReport:
     summary = run_ensemble(cfg)
     n = cfg.n
     checks = _gaussian_checks(
-        cfg, summary, theory.diffusive_covariance_grid,
+        cfg, summary, theory.diffusive_covariance,
         eff=[m / n for m in summary.times],
         mean_div=math.sqrt(n),
         var_div=n,
@@ -307,27 +321,22 @@ def verify_center_of_mass(cfg: EnsembleConfig) -> VerificationReport:
         cfg = replace(cfg, track_center_of_mass=True)
     summary = run_ensemble(cfg)
     params, n, R = cfg.params, cfg.n, cfg.replicas
-    d = params.d
+    axis = np.arange(params.d)
+    a, b = np.triu_indices(params.d, 1)
     sqrt_n = math.sqrt(n)
-    expected = theory.cm_covariance(params)
-    drift = theory.cm_mean_drift(params, n) / sqrt_n
     cov_n = summary.cm_cov / n
-    checks: list[CheckResult] = []
-    for a in range(d):
-        v_emp = cov_n[a, a]
-        checks.append(_two_sided(
-            f"cm_var[axis={a}]", expected[a, a], v_emp,
-            _variance_se(v_emp, R), REL_FLOOR_VARIANCE))
-        checks.append(_two_sided(
-            f"cm_mean[axis={a}]", drift[a], summary.cm_mean[a] / sqrt_n,
-            math.sqrt(max(cov_n[a, a], 0.0) / R),
-            note="centered at the exact finite-time mean"))
-    for a in range(d):
-        for b in range(a + 1, d):
-            c_emp = cov_n[a, b]
-            checks.append(_two_sided(
-                f"cm_cross_axis[axes=({a},{b})]", 0.0, c_emp,
-                _covariance_se(cov_n[a, a], cov_n[b, b], c_emp, R)))
+    var, c_emp = cov_n[axis, axis], cov_n[a, b]
+    var_checks = _checks(
+        [f"cm_var[axis={x}]" for x in axis.tolist()], theory.cm_covariance(params)[axis, axis],
+        var, _variance_se(var, R), REL_FLOOR_VARIANCE)
+    mean_checks = _checks(
+        [f"cm_mean[axis={x}]" for x in axis.tolist()], theory.cm_mean_drift(params, n) / sqrt_n,
+        summary.cm_mean / sqrt_n, np.sqrt(np.maximum(var, 0.0) / R),
+        note="centered at the exact finite-time mean")
+    axis_checks = _checks(
+        [f"cm_cross_axis[axes=({x},{y})]" for x, y in zip(a.tolist(), b.tolist())],
+        0.0, c_emp, _covariance_se(var[a], var[b], c_emp, R))
+    checks = [c for both in zip(var_checks, mean_checks) for c in both] + axis_checks
     return _finish("center_of_mass", report.regime, cfg, checks, t0)
 
 
@@ -351,7 +360,7 @@ def verify_critical(cfg: EnsembleConfig) -> VerificationReport:
     log_n = math.log(cfg.n)
     norms = [math.sqrt(log_n * m) for m in summary.times]  # sqrt(log n) * n^(t_eff/2)
     checks = _gaussian_checks(
-        cfg, summary, theory.critical_covariance_grid,
+        cfg, summary, theory.critical_covariance,
         eff=[math.log(m) / log_n for m in summary.times],
         mean_div=norms,
         var_div=[x ** 2 for x in norms],
@@ -381,24 +390,14 @@ def verify_superdiffusive(cfg: EnsembleConfig, epsilon: float = 0.05) -> Verific
     R = cfg.replicas
     times = np.array(summary.times, dtype=np.float64)
     pos = summary.positions.astype(np.float64)  # (R, T, d)
-    checks: list[CheckResult] = []
 
     # (i) ladder increments of Z_k = S_{n_k}/n_k^alpha
     z = pos / times[None, :, None] ** alpha
-    inc_norms = np.linalg.norm(np.diff(z, axis=1), axis=2)  # (R, T-1)
-    medians = np.median(inc_norms, axis=0)
-    ratios, undefined = _median_ratios(medians)
-    checks.append(CheckResult(
-        name="ladder_increment_medians_decreasing",
-        observed=float(ratios.max()),
-        expected=None,
-        tolerance=None,
-        z=None,
-        passed=bool(np.all(np.diff(medians) < 0)),
+    ladder, medians, _ = _ladder(
+        np.linalg.norm(np.diff(z, axis=1), axis=2), "ladder_increment_medians_decreasing",
         gating=False,
-        note="observed = max adjacent median ratio; diagnostic only, no rate is claimed"
-        + undefined,
-    ))
+        note="observed = max adjacent median ratio; diagnostic only, no rate is claimed")
+    checks = [ladder]
 
     # (ii) second-moment scaling via ratios against the final time
     sq = np.einsum("rtd,rtd->rt", pos, pos)  # |S_{n_k}|^2 per replica
@@ -413,10 +412,9 @@ def verify_superdiffusive(cfg: EnsembleConfig, epsilon: float = 0.05) -> Verific
             a.var(ddof=1) - 2 * r * np.cov(a, base, ddof=1)[0, 1] + r * r * base.var(ddof=1)
         ) / base_mean**2
         se = math.sqrt(max(var_r, 0.0) / R)
-        checks.append(_two_sided(
-            f"second_moment_ratio[t={t_label}]", expected, r, se,
-            REL_FLOOR_SUPERDIFFUSIVE,
-            note="m2(t)/m2(1): the unknown limit moment cancels"))
+        checks += _checks(
+            [f"second_moment_ratio[t={t_label}]"], expected, r, se, REL_FLOOR_SUPERDIFFUSIVE,
+            note="m2(t)/m2(1): the unknown limit moment cancels")
 
     # (iii) non-degeneracy of the limit
     final_norm = np.linalg.norm(z[:, -1, :], axis=1)
@@ -455,18 +453,9 @@ def verify_slln(cfg: EnsembleConfig, eps: float = 0.01, min_fraction: float = 0.
     times = np.array(summary.times, dtype=np.float64)
     pos = summary.positions.astype(np.float64)
     scaled = np.linalg.norm(pos / times[None, :, None], axis=2)  # (R, T)
-    medians = np.median(scaled, axis=0)
-    ratios, undefined = _median_ratios(medians)
-    checks: list[CheckResult] = [CheckResult(
-        name="ladder_medians_decreasing",
-        observed=float(ratios.max()),
-        expected=None,
-        tolerance=None,
-        z=None,
-        passed=bool(np.all(np.diff(medians) < 0)),
-        gating=True,
-        note="observed = max adjacent median ratio of |S_t/t|" + undefined,
-    )]
+    ladder, medians, ratios = _ladder(scaled, "ladder_medians_decreasing", gating=True,
+                                      note="observed = max adjacent median ratio of |S_t/t|")
+    checks = [ladder]
     if report.regime == theory.SUPERDIFFUSIVE:
         for k, observed in enumerate(ratios):
             expected = (times[k + 1] / times[k]) ** (report.alpha - 1.0)

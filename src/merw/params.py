@@ -42,6 +42,15 @@ def check_integer(name: str, value, lo: int, hi: int | None = None) -> int:
     return int(value)
 
 
+def check_budget(replicas: int, n: int, budget: int) -> None:
+    """Raise :class:`BudgetError` when ``replicas`` runs of n steps exceed the step budget."""
+    if replicas * n > budget:
+        raise BudgetError(
+            f"the run needs {replicas} x {n} = {replicas * n} steps, exceeding the step "
+            f"budget of {budget}; raise the budget to run anyway"
+        )
+
+
 def parse_probability(value: ProbabilityLike) -> tuple[float, Fraction | None]:
     """Normalize a probability given as float, Fraction or string.
 
@@ -86,10 +95,7 @@ class ModelParams:
     q_exact: Fraction | None = None
 
     def __init__(self, d: int, p: ProbabilityLike, q: ProbabilityLike = 0.5):
-        if isinstance(d, bool) or not isinstance(d, int):
-            raise ParameterError(f"dimension d must be an integer, got {d!r}")
-        if d < 1:
-            raise ParameterError(f"dimension d must satisfy d >= 1, got {d}")
+        d = check_integer("dimension d", d, 1)
         p_float, p_exact = parse_probability(p)
         q_float, q_exact = parse_probability(q)
         if not 0.0 < p_float < 1.0:

@@ -6,11 +6,11 @@ a centered Gaussian process; at it a Brownian limit appears under a
 logarithmic normalization; above it the walk stabilizes almost surely at
 scale n^alpha with alpha = (2dp-1)/(2d-1).  All kernels here are explicit
 and all eigen-decompositions use the rank-one structure of the replacement
-matrix rather than numerical solvers.  The two Gaussian walk kernels also
-come as grid forms (``*_covariance_grid``) that evaluate the one formula over
-every pair of a set of times in one call.  alpha, the first-step law and the
-pairing map are read from :mod:`merw.urn`; the batteries of
-:mod:`merw.montecarlo` choose which kernel gates which regime.
+matrix rather than numerical solvers.  The two Gaussian walk kernels take
+times that are floats or arrays broadcasting together, and evaluate their one
+formula at every pair in one call.  alpha, the first-step law and the pairing
+map are read from :mod:`merw.urn`; the batteries of :mod:`merw.montecarlo`
+choose which kernel gates which regime.
 """
 
 from __future__ import annotations
@@ -98,57 +98,32 @@ def _require_regime(params: ModelParams, regime: str, what: str) -> RegimeReport
     return report
 
 
-def _order_times(s: float, t: float) -> tuple[float, float]:
-    if not (0 < s < math.inf and 0 < t < math.inf):
+def _ordered(s, t) -> tuple[np.ndarray, np.ndarray]:
+    # each pair of times as (earlier, later), float64 arrays of the broadcast shape
+    s, t = np.broadcast_arrays(np.asarray(s, dtype=np.float64), np.asarray(t, dtype=np.float64))
+    if not np.all((0 < s) & (s < math.inf) & (0 < t) & (t < math.inf)):
         raise ValueError(f"times must be positive and finite, got s={s}, t={t}")
-    return (s, t) if s <= t else (t, s)
+    return np.minimum(s, t), np.maximum(s, t)
 
 
-def _kernel_grid(factor, params: ModelParams, times) -> np.ndarray:
-    # the (T, T) factors on I_d of a kernel at every pair of times, one call of its formula
-    times = np.asarray(times, dtype=np.float64)
-    if times.ndim != 1 or not np.all((0 < times) & (times < math.inf)):
-        raise ValueError(f"times must be a 1-d array of positive finite values, got {times}")
-    a, b = np.triu_indices(len(times))
-    grid = np.empty((len(times), len(times)))
-    grid[a, b] = grid[b, a] = factor(params, np.minimum(times[a], times[b]),
-                                     np.maximum(times[a], times[b]))
-    return grid
-
-
-def _diffusive_factor(params: ModelParams, s, t):
-    # the kernel's factor on I_d at ordered times s <= t, floats or arrays; the power is
-    # libm's pow one float at a time, as numpy's vectorized power may round differently
-    d, p = params.d, params.p
-    alpha = memory_exponent(params)
-    prefactor = (2 * d - 1.0) / (d * (1.0 + 2 * d - 4 * d * p))
-    ratio = t / s
-    if isinstance(ratio, np.ndarray):
-        return prefactor * s * np.array([r ** alpha for r in ratio.tolist()])
-    return prefactor * s * ratio ** alpha
-
-
-def diffusive_covariance(params: ModelParams, s: float, t: float) -> np.ndarray:
+def diffusive_covariance(params: ModelParams, s, t) -> np.ndarray:
     """Walk-level limit kernel in the diffusive regime.
 
     For 0 < s <= t this is (2d-1)/(d(1+2d-4dp)) * s * (t/s)^alpha * I_d;
     passing s > t returns the kernel at the swapped pair, i.e. the kernel is
-    symmetric in its time arguments.  The prefactor has a pole at p = p_c,
-    so the function refuses non-diffusive parameters.
+    symmetric in its time arguments.  ``s`` and ``t`` may be floats or arrays
+    that broadcast together; the result has their shape followed by (d, d).
+    The prefactor has a pole at p = p_c, so the function refuses
+    non-diffusive parameters.
     """
     _require_regime(params, DIFFUSIVE, "the diffusive covariance kernel")
-    s, t = _order_times(s, t)
-    return _diffusive_factor(params, s, t) * np.eye(params.d)
-
-
-def diffusive_covariance_grid(params: ModelParams, times) -> np.ndarray:
-    """The diffusive kernel over every pair of ``times``, as its (T, T) factors on I_d.
-
-    Entry (i, j) equals ``diffusive_covariance(params, times[i], times[j])[0, 0]``
-    bit for bit; the regime is checked once.
-    """
-    _require_regime(params, DIFFUSIVE, "the diffusive covariance kernel")
-    return _kernel_grid(_diffusive_factor, params, times)
+    s, t = _ordered(s, t)
+    d, p = params.d, params.p
+    alpha = memory_exponent(params)
+    prefactor = (2 * d - 1.0) / (d * (1.0 + 2 * d - 4 * d * p))
+    # libm's pow one pair at a time, as numpy's vectorized power may round differently
+    power = np.reshape([r ** alpha for r in (t / s).ravel().tolist()], s.shape)
+    return (prefactor * s * power)[..., None, None] * np.eye(d)
 
 
 def _centring(twod: int) -> np.ndarray:
@@ -175,7 +150,7 @@ def matrix_exponential_factor(params: ModelParams, s: float, t: float) -> np.nda
     A acts as 1 on the constant direction and as alpha on the zero-sum
     complement, so the exponential is (t/s) * J/2d + (t/s)^alpha * (I - J/2d).
     """
-    s, t = _order_times(s, t)
+    s, t = map(float, _ordered(s, t))
     twod = params.n_colours
     ratio = t / s
     proj1 = np.full((twod, twod), 1.0 / twod)
@@ -184,36 +159,22 @@ def matrix_exponential_factor(params: ModelParams, s: float, t: float) -> np.nda
 
 def urn_diffusive_covariance(params: ModelParams, s: float, t: float) -> np.ndarray:
     """Urn-level cross-time covariance s * sigma_I * exp(log(t/s) A)."""
-    s, t = _order_times(s, t)
+    s, t = map(float, _ordered(s, t))
     return s * sigma_I(params) @ matrix_exponential_factor(params, s, t)
 
 
-def _critical_factor(params: ModelParams, s, t):
-    # the kernel's factor on I_d at ordered times s <= t, floats or arrays
-    return s / params.d
-
-
-def critical_covariance(params: ModelParams, s: float, t: float) -> np.ndarray:
-    """Walk-level limit kernel at criticality: (1/d) * min(s, t) * I_d."""
+def critical_covariance(params: ModelParams, s, t) -> np.ndarray:
+    """Walk-level limit kernel at criticality: (1/d) * min(s, t) * I_d, over
+    floats or broadcasting arrays as :func:`diffusive_covariance`."""
     _require_regime(params, CRITICAL, "the critical covariance kernel")
-    s, t = _order_times(s, t)
-    return _critical_factor(params, s, t) * np.eye(params.d)
-
-
-def critical_covariance_grid(params: ModelParams, times) -> np.ndarray:
-    """The critical kernel over every pair of ``times``, as its (T, T) factors on I_d.
-
-    Entry (i, j) equals ``critical_covariance(params, times[i], times[j])[0, 0]``
-    bit for bit; the regime is checked once.
-    """
-    _require_regime(params, CRITICAL, "the critical covariance kernel")
-    return _kernel_grid(_critical_factor, params, times)
+    s, _ = _ordered(s, t)
+    return (s / params.d)[..., None, None] * np.eye(params.d)
 
 
 def urn_critical_covariance(params: ModelParams, s: float, t: float) -> np.ndarray:
     """Urn-level kernel at criticality: (s/4d^2) * (2d * I - J) for s <= t."""
     _require_regime(params, CRITICAL, "the critical urn kernel")
-    s, t = _order_times(s, t)
+    s, _ = map(float, _ordered(s, t))
     d = params.d
     return (s / (4.0 * d * d)) * _centring(2 * d)
 

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from merw.ensemble import EnsembleConfig, _cross_moments, run_ensemble, simulate_replicas
+from merw.ensemble import (
+    EnsembleConfig,
+    _cross_moments,
+    grid_times,
+    run_ensemble,
+    simulate_replicas,
+)
 from merw.enumeration import exact_small_n_pmf
 from merw.params import BudgetError, ModelParams, ParameterError
 
@@ -60,6 +66,19 @@ def test_snapshot_times_mapping():
     assert cfg.snapshot_times() == (100, 500, 1000)
     cfg = make_cfg(n=10_000, snapshot_fractions=None, exponent_times=(0.5, 1.0))
     assert cfg.snapshot_times() == (100, 10_000)
+
+
+@pytest.mark.parametrize("n", [1000, 2**23 - 1, 10**8, 2**31 - 1])
+def test_grid_times_floor_decimal_fractions_exactly(n):
+    # beyond n = 2^23 a fixed 1e-9 tolerance is below one ulp of s*n, and
+    # floor(0.29 * 10^8) read 28 999 999
+    for k in range(1, 101):
+        assert grid_times([k / 100], n) == (k * n // 100,)
+    for k in range(1, 1001, 7):
+        assert grid_times([k / 1000], n) == (k * n // 1000,)
+    grid = (0.29, 0.57, 0.58, 1.0)
+    cfg = make_cfg(n=n, replicas=2, snapshot_fractions=grid, step_budget=2**32)
+    assert cfg.snapshot_times() == tuple(round(g * 100) * n // 100 for g in grid)
 
 
 def test_config_rejects_horizon_beyond_int32():

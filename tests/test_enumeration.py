@@ -101,6 +101,12 @@ def test_non_integer_horizons_are_refused(n):
         exact_small_n_pmf(ModelParams(1, "1/2"), n)
 
 
+@pytest.mark.parametrize("max_n", [True, 2.5, 0, "8"])
+def test_budget_override_must_be_a_positive_integer(max_n):
+    with pytest.raises(ParameterError, match="max_n: expected an integer"):
+        exact_small_n_pmf(ModelParams(1, "1/2"), 1, max_n=max_n)
+
+
 def test_invalid_arguments():
     with pytest.raises(ParameterError):
         exact_small_n_pmf(ModelParams(1, "1/2"), 0)

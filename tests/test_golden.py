@@ -1,4 +1,4 @@
-"""Golden digests of sampled paths and of seven battery reports: the alarm for
+"""Golden digests of sampled paths and of fourteen battery reports: the alarm for
 kernel, check or numpy stream drift.
 
 Each case pins the SHA-256 of ``simulate_replicas`` positions (and of the
@@ -85,12 +85,24 @@ REPORT_CASES = [
     ("critical-d3", "critical", (3, "7/12", "1/2"), 400, (0.5, 0.75, 1.0), 2029, 300),
     ("clt-d2-grid", "clt", (2, "1/2", "1/2"), 200, tuple(k / 100 for k in range(1, 101)), 2030,
      500),
+    # the ladder batteries in each branch, with a ladder median of 0 in slln-d1-zero-median,
+    # and the centre of mass with its cross-axis checks
+    ("slln-d2-diffusive", "slln", (2, "1/2", "1/2"), 2000, (0.01, 0.1, 0.5, 1.0), 2031, 20),
+    ("slln-d1-superdiffusive", "slln", (1, "9/10", "1/2"), 2000, (0.01, 0.1, 0.5, 1.0), 2032, 20),
+    ("slln-d1-zero-median", "slln", (1, "2/5", "1/2"), 2000, (1e-3, 1e-2, 1e-1, 1.0), 12, 20),
+    ("superdiffusive-d1", "superdiffusive", (1, "9/10", "1/2"), 1024, (0.125, 0.25, 0.5, 1.0),
+     2033, 100),
+    ("superdiffusive-d2-q", "superdiffusive", (2, "9/10", "7/10"), 1024,
+     (0.125, 0.25, 0.5, 1.0), 2034, 100),
+    ("cm-d2", "cm", (2, "1/2", "1/2"), 400, (1.0,), 2035, 300),
+    ("cm-d3", "cm", (3, "3/10", "3/5"), 400, (1.0,), 2036, 300),
 ]
 
 #: SHA-256 of json.dumps(report.canonical_dict(), sort_keys=True), pinned before the
 #: CLT and critical batteries shared one check body (the q != 1/2 cases before the
 #: first-step law moved to ``urn.first_colour_law``, the check-layout cases before the
-#: check body was evaluated as arrays); same numpy caveat as above.
+#: check body was evaluated as arrays, the ladder and centre-of-mass cases before those
+#: batteries shared the ladder statistic and the array gate); same numpy caveat as above.
 GOLDEN_REPORTS = {
     "clt-d2": "a39af2d9308a905a25b87552c30ff5f13849dcf8fd2ed14c73ed8a8fa393b343",
     "critical-d2": "562b342d6aa9385e7be31312449af3c9c6c8d42d6a80c79608fe69807294436a",
@@ -99,6 +111,13 @@ GOLDEN_REPORTS = {
     "clt-d1": "8571ca8ae2905af6fca441f796fd1a23f800e0082913fb8b92ddb7c242c6e767",
     "critical-d3": "88eac88dde790d8ffd6d904c19f9d9f0272c01e3002d73e5e9931b1cf2a8932b",
     "clt-d2-grid": "df017fd5ff5d98dd836c92d9c4a76d882340df8f98c9ca3d3b3f777383c12347",
+    "slln-d2-diffusive": "438ff77cccf5ca3c185c105ceb4c6f80c2a5b04e51d05b1017352a329858af91",
+    "slln-d1-superdiffusive": "7bdf7ceda3a4163491a68c06dcb4eb535752ce972ee0c1b74e6c015281568a10",
+    "slln-d1-zero-median": "6805ff23cdbc3cdcadc284888fc891ccb915a02cbe692c121066251a4f26a0b2",
+    "superdiffusive-d1": "0b2f04c3c04c60c5de481d53a99cf0060931321b8a9a92c99982674ed1f1243a",
+    "superdiffusive-d2-q": "fce56a232f6d2d5576da63a3265c4ff9a656e0334cfe8755e09cbe346a32ba87",
+    "cm-d2": "5485ac2e7eb15fc6dbad7f20f941cd937017fe89323ab328b9e881095cf82c76",
+    "cm-d3": "b0d36136c6de98e09b60a5dd4c96bb162b654fb2090ca37a6d42d60b06bf728e",
 }
 
 

@@ -39,10 +39,15 @@ def test_q_range_is_open(bad_q):
         ModelParams(1, 0.5, bad_q)
 
 
-@pytest.mark.parametrize("bad_d", [0, -1, 1.5, "2", True])
+@pytest.mark.parametrize("bad_d", [0, -1, 1.5, 2.0, "2", True])
 def test_dimension_must_be_positive_integer(bad_d):
     with pytest.raises(ParameterError):
         ModelParams(bad_d, 0.5)
+
+
+def test_dimension_accepts_numpy_integers_as_a_plain_int():
+    params = ModelParams(np.int64(2), "1/2")
+    assert params.d == 2 and type(params.d) is int
 
 
 def test_unparseable_probability():

@@ -14,10 +14,8 @@ from merw.theory import (
     cm_covariance,
     cm_mean_drift,
     critical_covariance,
-    critical_covariance_grid,
     critical_memory,
     diffusive_covariance,
-    diffusive_covariance_grid,
     matrix_exponential_factor,
     mean_drift,
     memory_exponent,
@@ -285,32 +283,45 @@ def test_kernels_are_psd_on_finite_grids():
         np.linalg.cholesky(gram + 1e-10 * np.eye(gram.shape[0]))
 
 
+def _reference_factor(params, kernel, s, t):
+    # the kernel's factor on I_d in Python float arithmetic, one pair at a time
+    s, t = min(s, t), max(s, t)
+    if kernel is critical_covariance:
+        return s / params.d
+    d, p = params.d, params.p
+    return (2 * d - 1.0) / (d * (1.0 + 2 * d - 4 * d * p)) * s * (t / s) ** memory_exponent(params)
+
+
 @pytest.mark.parametrize(
-    "params, scalar, grid",
+    "params, kernel",
     [
-        (ModelParams(1, 0.5), diffusive_covariance, diffusive_covariance_grid),
-        (ModelParams(2, "1/2"), diffusive_covariance, diffusive_covariance_grid),
-        (ModelParams(3, 0.2), diffusive_covariance, diffusive_covariance_grid),
-        (ModelParams(1, "3/4"), critical_covariance, critical_covariance_grid),
-        (ModelParams(3, "7/12"), critical_covariance, critical_covariance_grid),
+        (ModelParams(1, 0.5), diffusive_covariance),
+        (ModelParams(2, "1/2"), diffusive_covariance),
+        (ModelParams(3, 0.2), diffusive_covariance),
+        (ModelParams(1, "3/4"), critical_covariance),
+        (ModelParams(3, "7/12"), critical_covariance),
     ],
 )
-def test_kernel_grids_equal_the_scalar_kernels_bit_for_bit(params, scalar, grid):
-    # unsorted times and a repeated time; every entry is the scalar kernel's own float
+def test_kernel_grids_equal_the_scalar_kernels_bit_for_bit(params, kernel):
+    # array calls equal per-pair scalar calls, over unsorted times and a repeated time
     times = [0.37, 0.01, 1.0, 0.5, 0.37, 0.123456789, 0.99]
-    got = grid(params, times)
-    want = [[scalar(params, s, t)[0, 0] for t in times] for s in times]
+    got = kernel(params, np.array(times)[:, None], np.array(times)[None, :])
+    assert got.shape == (len(times), len(times), params.d, params.d)
+    want = [[(_reference_factor(params, kernel, s, t) * np.eye(params.d)).tolist() for t in times]
+            for s in times]
     assert got.tolist() == want
+    assert [[kernel(params, s, t).tolist() for t in times] for s in times] == want
+    assert kernel(params, times, times).tolist() == [kernel(params, t, t).tolist() for t in times]
 
 
 def test_kernel_grids_refuse_bad_times_and_regimes():
-    for bad in ([0.5, 0.0], [np.nan, 1.0], [1.0, np.inf], [[0.5, 1.0]]):
+    for bad in ([0.5, 0.0], [np.nan, 1.0], [1.0, np.inf]):
         with pytest.raises(ValueError):
-            diffusive_covariance_grid(ModelParams(1, 0.5), bad)
+            diffusive_covariance(ModelParams(1, 0.5), bad, bad)
     with pytest.raises(RegimeError):
-        diffusive_covariance_grid(ModelParams(1, "3/4"), [0.5, 1.0])
+        diffusive_covariance(ModelParams(1, "3/4"), [0.5, 1.0], [0.5, 1.0])
     with pytest.raises(RegimeError):
-        critical_covariance_grid(ModelParams(1, 0.5), [0.5, 1.0])
+        critical_covariance(ModelParams(1, 0.5), [0.5, 1.0], [0.5, 1.0])
 
 
 # ------------------------------------------------------------------ drifts
@@ -355,7 +366,8 @@ def test_public_names_resolve_and_the_covariance_spec_is_gone():
     import merw.theory
 
     assert all(hasattr(merw, name) for name in merw.__all__)
-    for name in ("covariance_spec", "CovarianceSpec"):
+    for name in ("covariance_spec", "CovarianceSpec", "diffusive_covariance_grid",
+                 "critical_covariance_grid"):
         assert name not in merw.__all__
         assert not hasattr(merw, name)
         assert not hasattr(merw.theory, name)

@@ -7,9 +7,10 @@ once.  The kernel keeps per replica the colour CDF, cdf[c] = number of steps
 with colour <= c for c < 2d-1, as (2d-1, R) int32 rows and advances all
 replicas one step at a time with contiguous operations over those rows:
 the remembered colour is the number of rows at or below the remembered
-draw, and the new colour adds one to every row at or above it.  Positions
-are formed only at snapshot times, and the centre of mass from the CDF's
-running sum.
+draw, and the new colour adds one to every row at or above it.  Step 1 is
+the kernel's step that remembers colour 0 and repeats it with probability q.
+Positions are formed only at snapshot times, and the centre of mass from the
+CDF's running sum.
 
 Replica r draws from its own Philox substream keyed by (master_seed, r), so
 results do not depend on how work is batched and rerunning a configuration
@@ -19,18 +20,17 @@ definition), computed for all replicas in one pass by ``replica_keys``: the
 seed words are mixed into the hash pool once, and only the spawn words of r
 are hashed per replica, over uint32 arrays.  Each replica still gets its own
 Philox, built by ``replica_generator`` from its key, because its words are
-read one ``random_raw`` call per replica and chunk, with a replica's pending
-32-bit half carried inside its generator from one call to the next.  The
-draws are exactly those of numpy's
-``Generator`` calls: step 1 takes ``random()`` then ``integers(0, 2d-1)``,
-and each chunk of ``CHUNK_STEPS`` later steps takes ``integers(0, highs)``
-(highs = the step count before each step), ``random(width)`` and
-``integers(0, 2d-1, size=width)``.  They are read as raw Philox words, one
-``random_raw`` call per replica and chunk, and decoded in bulk by numpy's
-rules (Lemire's bounded integers on 32-bit halves, doubles from the top 53
-bits) into step-major buffers; a replica whose chunk meets a rejected draw
-is replayed one draw at a time.  ``tests/test_golden.py`` pins digests of
-the sampled paths, so drift in the kernel or in numpy's streams shows.
+read one ``random_raw`` call per replica and draw chunk, with a replica's
+pending 32-bit half carried inside its generator from one call to the next.
+Draw chunk 0 is step 1 alone, and each later chunk up to ``CHUNK_STEPS``
+steps; a chunk takes exactly numpy's ``Generator`` calls ``integers(0,
+highs)`` (highs = the step count before each step, from step 3 on),
+``random(width)`` and ``integers(0, 2d-1, size=width)``, read as raw Philox
+words and decoded in bulk by numpy's rules (Lemire's bounded integers on
+32-bit halves, doubles from the top 53 bits) into step-major buffers; a
+replica whose chunk meets a rejected draw is replayed one draw at a time.
+``tests/test_golden.py`` pins digests of the sampled paths, so drift in the
+kernel or in numpy's streams shows.
 
 Position moments come from exact integer snapshot sums, so summaries are
 deterministic.  The replica cross-moments sum_r x[r,t,i] x[r,s,j] are one
@@ -38,7 +38,7 @@ float64 BLAS Gram product over the integer positions, which is exact (every
 product and partial sum is an integer below 2^53) while R * max|x|^2 < 2^53
 for the observed positions; diffusive walks have |x| ~ sqrt(n), so this holds
 with a wide margin at every default shape.  Past that guard they are summed
-in int64 (while R * n^2 < 2^62), else in float64.  The per-replica snapshot
+in int64 while R * max|x|^2 < 2^62, else in float64.  The per-replica snapshot
 positions are kept in the summary for median and fraction diagnostics.
 """
 
@@ -408,13 +408,15 @@ def _draw_chunk(bitgens, held, step_lo, step_hi, m_buf, rep_buf, j_buf, twod, re
     Per replica these are numpy's ``integers(0, highs)`` with highs the step
     count before each step, ``random(width)`` and ``integers(0, 2d-1,
     size=width)``, in that order: ``m_buf`` gets the remembered draws,
-    ``rep_buf`` 1 where the uniform is below p, else 0, and ``j_buf`` the flip
-    draws (left as they are at d = 1, where they are all 0).
+    ``rep_buf`` 1 where the uniform's raw word is below ``repeat_below``, else
+    0, and ``j_buf`` the flip draws (left as they are at d = 1, where they are
+    all 0).
     """
     width = step_hi - step_lo + 1
-    skip = int(step_lo == 2)  # step 2 can only remember step 1: no draw
+    # no draw for m at step 1 (m = -1 matches no CDF row: colour 0) or step 2 (m = 0: step 1)
+    skip = int(step_lo <= 2)
     if skip:
-        m_buf[0] = 0
+        m_buf[0] = step_lo - 2
     segments = [
         np.arange(step_lo - 1 + skip, step_hi, dtype=np.uint64),
         width,
@@ -452,14 +454,14 @@ def simulate_replicas(
     or None when not tracked.  Requires 1 <= n < 2^31, replicas >= 1, an
     unsigned 64-bit master seed and integer snapshot times in [1, n].
 
-    Step 1 takes colour 0 with probability q, else a uniform other colour.
-    Each later step remembers a uniform past step and repeats its colour with
-    probability p, else takes a uniform other colour.  A replica's state is
-    its colour CDF, cdf[c] = number of steps with colour <= c for c < 2d-1,
-    kept as (2d-1, R) rows: the remembered colour is the number of rows at
-    or below the remembered draw m, and a step of colour x adds one to every
-    row c >= x.  Positions are read off the CDF only at snapshot times, and
-    the centre of mass from the CDF's running sum.
+    Each step remembers the colour of a uniform past step and repeats it with
+    probability p, else takes a uniform other colour; step 1, drawn alone as
+    draw chunk 0, remembers colour 0 and repeats it with probability q.  A
+    replica's state is its colour CDF, cdf[c] = number of steps with colour
+    <= c for c < 2d-1, kept as (2d-1, R) rows: the remembered colour is the
+    number of rows at or below the remembered draw m, and a step of colour x
+    adds one to every row c >= x.  Positions are read off the CDF only at
+    snapshot times, and the centre of mass from the CDF's running sum.
     """
     d = params.d
     twod = params.n_colours
@@ -474,72 +476,62 @@ def simulate_replicas(
 
     colour = np.int8 if twod <= 127 else np.int32
     out = np.zeros((R, len(times), d), dtype=np.int64)
-
-    # step 1 samples urn.first_colour_law: colour 0 with probability q, else uniform other
-    first = np.empty(R, dtype=colour)
-    for cols, (raw, j) in _decoded_blocks(bitgens, held, [1, _flip_highs(twod, 1)]):
-        other = j[:, 0] + 1 if twod > 2 else 1
-        first[cols] = np.where(raw[:, 0] < _below(params.q), 0, other)
+    chunk = min(CHUNK_STEPS, n)
+    m_buf = np.empty((chunk, R), dtype=np.int32)
+    rep_buf = np.empty((chunk, R), dtype=colour)
+    j_buf = np.zeros((chunk, R), dtype=colour)
+    at_or_below = np.empty((twod - 1, R), dtype=bool)
+    remembered = np.empty(R, dtype=colour)
+    nxt = np.empty(R, dtype=colour)
     rows_c = np.arange(twod - 1, dtype=colour)[:, None]
-    cdf = (first <= rows_c).astype(np.int32)
-    cm = cdf.astype(np.int64) if track_center_of_mass else None
-    if 1 in time_slot:
-        out[:, time_slot[1], :] = _positions(cdf, 1)
-
-    if n >= 2:
-        chunk = min(CHUNK_STEPS, n - 1)  # steps 2..n never fill more
-        m_buf = np.empty((chunk, R), dtype=np.int32)
-        rep_buf = np.empty((chunk, R), dtype=colour)
-        j_buf = np.zeros((chunk, R), dtype=colour)
-        at_or_below = np.empty((twod - 1, R), dtype=bool)
-        remembered = np.empty(R, dtype=colour)
-        nxt = np.empty(R, dtype=colour)
-        repeat_below = _below(params.p)
-        step = 2
-        while step <= n:
-            hi = min(n, step + CHUNK_STEPS - 1)
-            width = _draw_chunk(bitgens, held, step, hi, m_buf, rep_buf, j_buf, twod, repeat_below)
-            for k in range(width):
-                # remembered colour: the number of CDF rows at or below m
-                np.greater_equal(m_buf[k], cdf, out=at_or_below)
-                np.sum(at_or_below, axis=0, dtype=colour, out=remembered)
-                # flip target j + (j >= remembered), then remembered where the step repeats
-                j = j_buf[k]
-                np.greater_equal(j, remembered, out=nxt)
-                nxt += j
-                remembered ^= nxt
-                remembered *= rep_buf[k]
-                nxt ^= remembered
-                np.less_equal(nxt, rows_c, out=at_or_below)
-                cdf += at_or_below
-                if cm is not None:
-                    cm += cdf
-                t = step + k
-                if t in time_slot:
-                    out[:, time_slot[t], :] = _positions(cdf, t)
-            step = hi + 1
+    cdf = np.zeros((twod - 1, R), dtype=np.int32)
+    cm = np.zeros((twod - 1, R), dtype=np.int64) if track_center_of_mass else None
+    step = 1
+    while step <= n:
+        # draw chunk 0 is step 1 alone, which repeats colour 0 with probability q
+        hi = 1 if step == 1 else min(n, step + CHUNK_STEPS - 1)
+        repeat_below = _below(params.q) if step == 1 else _below(params.p)
+        width = _draw_chunk(bitgens, held, step, hi, m_buf, rep_buf, j_buf, twod, repeat_below)
+        for k in range(width):
+            # remembered colour: the number of CDF rows at or below m
+            np.greater_equal(m_buf[k], cdf, out=at_or_below)
+            np.sum(at_or_below, axis=0, dtype=colour, out=remembered)
+            # flip target j + (j >= remembered), then remembered where the step repeats
+            j = j_buf[k]
+            np.greater_equal(j, remembered, out=nxt)
+            nxt += j
+            remembered ^= nxt
+            remembered *= rep_buf[k]
+            nxt ^= remembered
+            np.less_equal(nxt, rows_c, out=at_or_below)
+            cdf += at_or_below
+            if cm is not None:
+                cm += cdf
+            t = step + k
+            if t in time_slot:
+                out[:, time_slot[t], :] = _positions(cdf, t)
+        step = hi + 1
     if cm is not None:
         cm = _positions(cm, n * (n + 1) // 2)
     return out, cm
 
 
-def _cross_moments(positions: np.ndarray, replicas: int, n: int) -> np.ndarray:
+def _cross_moments(positions: np.ndarray) -> np.ndarray:
     """Sum over replicas of x[r, t, i] * x[r, s, j], shape (T, T, d, d), as float64.
 
     Computed as one BLAS Gram product X^T X over X = positions viewed as
     (R, T*d) in float64.  Every product and every partial sum is then an
     integer of magnitude at most R * max|x|^2, so while that is below 2^53 the
     result is exact, bit-identical to the integer sum, in whatever order and on
-    however many threads BLAS sums.
+    however many threads BLAS sums.  Past that, the sum is exact in int64
+    while R * max|x|^2 < 2^62, and rounded in float64 beyond.
     """
     R, T, d = positions.shape
     peak = int(np.abs(positions).max()) if positions.size else 0
     if R * peak * peak < 2**53:
         x = positions.reshape(R, T * d).astype(np.float64)
         return (x.T @ x).reshape(T, d, T, d).transpose(0, 2, 1, 3)
-    # exact in int64 under the default step budget; fall back to float64 when
-    # R * n^2 could overflow
-    if replicas * n * n < 2**62:
+    if R * peak * peak < 2**62:
         return np.einsum("rti,rsj->tsij", positions, positions).astype(np.float64)
     return np.einsum(
         "rti,rsj->tsij", positions.astype(np.float64), positions.astype(np.float64)
@@ -563,7 +555,7 @@ def run_ensemble(cfg: EnsembleConfig) -> EnsembleSummary:
     R = cfg.replicas
     sums = positions.sum(axis=0)  # (T, d) int64, exact
     mean = sums / R
-    cross = _cross_moments(positions, R, cfg.n)
+    cross = _cross_moments(positions)
     sums_f = sums.astype(np.float64)  # |sums| can reach R*n: square in float64
     outer = np.einsum("ti,sj->tsij", sums_f, sums_f) / R
     cov = (cross - outer) / (R - 1)

@@ -60,6 +60,8 @@ REL_FLOOR_VARIANCE = 0.05
 REL_FLOOR_CROSS_TIME = 0.07
 REL_FLOOR_CRITICAL = 0.15
 REL_FLOOR_SUPERDIFFUSIVE = 0.10
+NONDEGENERATE_EPSILON = 0.05
+SLLN_MIN_FRACTION = 0.99
 
 
 @dataclass(frozen=True)
@@ -350,12 +352,6 @@ def verify_critical(cfg: EnsembleConfig) -> VerificationReport:
     """
     t0 = time.perf_counter()
     report = BATTERIES["critical"].check(cfg)
-    if cfg.snapshot_times()[0] < 2:
-        raise ParameterError(
-            f"verify_critical needs n >= 2 and snapshot times >= 2 (it normalizes by log n, "
-            f"and time 1 sits at log-time 0, where the limit has no variance), "
-            f"got n = {cfg.n}, times {cfg.snapshot_times()}"
-        )
     summary = run_ensemble(cfg)
     log_n = math.log(cfg.n)
     norms = [math.sqrt(log_n * m) for m in summary.times]  # sqrt(log n) * n^(t_eff/2)
@@ -373,7 +369,7 @@ def verify_critical(cfg: EnsembleConfig) -> VerificationReport:
     return _finish("critical", report.regime, cfg, checks, t0, notes=notes)
 
 
-def verify_superdiffusive(cfg: EnsembleConfig, epsilon: float = 0.05) -> VerificationReport:
+def verify_superdiffusive(cfg: EnsembleConfig) -> VerificationReport:
     """Pathwise stabilization of S_n/n^alpha above criticality.
 
     Three statistics over a geometric snapshot ladder: (i) medians of
@@ -381,7 +377,8 @@ def verify_superdiffusive(cfg: EnsembleConfig, epsilon: float = 0.05) -> Verific
     only: no convergence rate is claimed, so the monotone trend is reported
     but not gated); (ii) second moments scale like t^(2 alpha) across the
     grid, tested as ratios so the unknown limit moment cancels; (iii) the
-    limit is not degenerate at zero: most replicas keep |Z| above epsilon.
+    limit is not degenerate at zero: most replicas keep |Z| above
+    ``NONDEGENERATE_EPSILON``.
     """
     t0 = time.perf_counter()
     report = BATTERIES["superdiffusive"].check(cfg)
@@ -418,9 +415,9 @@ def verify_superdiffusive(cfg: EnsembleConfig, epsilon: float = 0.05) -> Verific
 
     # (iii) non-degeneracy of the limit
     final_norm = np.linalg.norm(z[:, -1, :], axis=1)
-    frac = float(np.mean(final_norm > epsilon))
+    frac = float(np.mean(final_norm > NONDEGENERATE_EPSILON))
     checks.append(CheckResult(
-        name=f"nondegenerate_fraction[|Z| > {epsilon}]",
+        name=f"nondegenerate_fraction[|Z| > {NONDEGENERATE_EPSILON}]",
         observed=frac,
         expected=0.5,
         tolerance=None,
@@ -437,13 +434,12 @@ def verify_superdiffusive(cfg: EnsembleConfig, epsilon: float = 0.05) -> Verific
     return _finish("superdiffusive", report.regime, cfg, checks, t0, extras=extras)
 
 
-def verify_slln(cfg: EnsembleConfig, eps: float = 0.01, min_fraction: float = 0.99
-                ) -> VerificationReport:
+def verify_slln(cfg: EnsembleConfig, eps: float = 0.01) -> VerificationReport:
     """S_n/n -> 0 in every regime, checked along a geometric time ladder.
 
     Gates: the ensemble median of |S_t/t| decreases strictly along the
     ladder, and (below criticality, where the scale is known) at least
-    ``min_fraction`` of the replicas end below ``eps``.  Above criticality
+    ``SLLN_MIN_FRACTION`` of the replicas end below ``eps``.  Above criticality
     the decay rate is gated instead: adjacent median ratios must stay within
     a factor two of the predicted (t'/t)^(alpha-1).
     """
@@ -475,10 +471,10 @@ def verify_slln(cfg: EnsembleConfig, eps: float = 0.01, min_fraction: float = 0.
         checks.append(CheckResult(
             name=f"final_fraction[|S_n/n| < {eps}]",
             observed=frac,
-            expected=min_fraction,
+            expected=SLLN_MIN_FRACTION,
             tolerance=None,
             z=None,
-            passed=bool(frac >= min_fraction),
+            passed=bool(frac >= SLLN_MIN_FRACTION),
             gating=True,
             note="expected is the minimum passing fraction",
         ))
@@ -506,7 +502,8 @@ class Battery:
     and :data:`theory.CRITICAL` means exactly critical
     (``RegimeReport.exact``).  ``grid`` is the default snapshot grid, read as
     the :class:`EnsembleConfig` field ``kind`` (fractions of n or exponents of
-    n); the battery needs at least ``min_times`` snapshot times.
+    n); the battery needs at least ``min_times`` snapshot times, and times >=
+    2 on an exponent grid, which is normalized by log n.
     """
 
     runner: Callable[[EnsembleConfig], VerificationReport]
@@ -538,6 +535,12 @@ class Battery:
             raise ParameterError(
                 f"{name} needs a ladder of at least {self.min_times} snapshot times, "
                 f"got {len(grid)}"
+            )
+        if self.kind == "exponent_times" and cfg.snapshot_times()[0] < 2:
+            raise ParameterError(
+                f"{name} needs n >= 2 and snapshot times >= 2 (it normalizes by log n, "
+                f"and time 1 sits at log-time 0, where the limit has no variance), "
+                f"got n = {cfg.n}, times {cfg.snapshot_times()}"
             )
         return report
 

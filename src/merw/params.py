@@ -43,7 +43,8 @@ def check_integer(name: str, value, lo: int, hi: int | None = None) -> int:
 
 
 def check_budget(replicas: int, n: int, budget: int) -> None:
-    """Raise :class:`BudgetError` when ``replicas`` runs of n steps exceed the step budget."""
+    """Raise :class:`BudgetError` when ``replicas`` runs of n steps exceed the budget (>= 1)."""
+    budget = check_integer("step budget", budget, 1)
     if replicas * n > budget:
         raise BudgetError(
             f"the run needs {replicas} x {n} = {replicas * n} steps, exceeding the step "

@@ -177,6 +177,19 @@ def test_simulate_budget_guard(capsys):
     assert "budget" in err
 
 
+@pytest.mark.parametrize("budget", ["0", "-5"])
+@pytest.mark.parametrize("argv", [
+    pytest.param(("simulate",), id="simulate"),
+    pytest.param(("verify", "clt", "--replicas", "3"), id="verify"),
+])
+def test_non_positive_budget_is_a_usage_error(capsys, argv, budget):
+    code, out, err = run_cli(capsys, *argv, "-d", "1", "-p", "1/2", "-n", "100",
+                             "--seed", "1", "--budget", budget)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "step budget" in err
+
+
 def test_simulate_snapshot_validation(capsys):
     code, _, err = run_cli(
         capsys, "simulate", "-d", "1", "-p", "0.5", "-n", "10",

@@ -37,6 +37,7 @@ from tests._oracles import lockstep_replicas
         (2, "1/2", "7/10", 1030, 12, False),  # chunks of 1024 and 5 steps
         (3, "3/10", "1/2", 1027, 10, True),  # chunks of 1024 and 2 steps
         (2, "9/10", "1/2", 2, 5, True),  # one chunk of one step, no remembered draw
+        (3, "1/5", "1/5", 1, 6, True),  # step 1 alone, with a flip draw
         (1, "1/2", "1/2", 30_000, 16, True),  # long horizon: rejected draws are replayed
     ],
 )

@@ -91,6 +91,14 @@ def test_budget_guard():
         make_cfg(replicas=100, n=10_000, step_budget=10_000)
 
 
+@pytest.mark.parametrize("budget", [float("nan"), 2.5e9, None, "10", 0, -5, True],
+                         ids=["nan", "2.5e9", "None", "str", "0", "-5", "bool"])
+def test_budget_must_be_a_positive_integer(budget):
+    # nan would switch the guard off, and None or a string would raise TypeError
+    with pytest.raises(ParameterError, match="step budget"):
+        make_cfg(replicas=2, n=10, step_budget=budget)
+
+
 # ------------------------------------------------------------- determinism
 
 def test_rerun_is_bit_identical():
@@ -294,9 +302,8 @@ def _near_guard(replicas, above):
     pytest.param(np.zeros((5, 3, 2), dtype=np.int64), id="zeros"),
 ])
 def test_cross_moments_are_exact(positions):
-    R, T, d = positions.shape
-    n = int(np.abs(positions).max()) or 1
-    cross = _cross_moments(positions, R, n)
+    _, T, d = positions.shape
+    cross = _cross_moments(positions)
     assert cross.dtype == np.float64 and cross.shape == (T, T, d, d)
     assert np.array_equal(cross, _python_cross_moments(positions))
 

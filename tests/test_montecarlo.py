@@ -268,6 +268,16 @@ def test_grid_kind_mismatches():
         ))
 
 
+@pytest.mark.parametrize("overrides", [
+    dict(n=1),
+    dict(n=1000, exponent_times=(0.05, 1.0)),  # 1000^0.05 gives time 1
+], ids=["n-1", "time-1"])
+def test_critical_config_refuses_time_one(overrides):
+    # the log n normalization of an exponent grid puts time 1 at log-time 0
+    with pytest.raises(ParameterError, match="snapshot times >= 2"):
+        BATTERIES["critical"].config(ModelParams(1, "3/4"), 1, **overrides)
+
+
 @pytest.mark.parametrize("params, selected", [
     (ModelParams(2, "1/2"), ["slln", "clt", "cm"]),
     (ModelParams(1, "3/4"), ["slln", "critical"]),

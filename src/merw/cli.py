@@ -9,6 +9,7 @@ entropy and printed to stderr so the run stays reproducible after the fact.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import secrets
 import sys
@@ -47,10 +48,19 @@ def _record(command: str, seed: int | None, params: ModelParams, results) -> dic
     }
 
 
+def _seed(text: str) -> int:
+    """The ``--seed`` of every subcommand: an unsigned 64-bit integer."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if not 0 <= seed < 2**64:
+        raise argparse.ArgumentTypeError(f"must be an unsigned 64-bit integer, got {text!r}")
+    return seed
+
+
 def _resolve_seed(args) -> int:
     if args.seed is not None:
-        if not 0 <= args.seed < 2**64:
-            raise ParameterError(f"--seed must be an unsigned 64-bit integer, got {args.seed}")
         return args.seed
     seed = secrets.randbits(64)
     print(f"seed: {seed}", file=sys.stderr)
@@ -75,7 +85,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="memory parameter in (0,1); decimal or rational like 3/4")
     parser.add_argument("-q", "--first-step", type=str, default="1/2",
                         help="first-step parameter in (0,1); default 1/2")
-    parser.add_argument("--seed", type=int, default=None,
+    parser.add_argument("--seed", type=_seed, default=None,
                         help="unsigned 64-bit master seed; drawn from entropy if omitted")
 
 
@@ -130,16 +140,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path is None:
-        sys.stdout.write(text)
-    else:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+def _open_out(path: str | None):
+    """The text handle that ``--out`` names, opened before any work is done; stdout if None."""
+    if path is None:
+        return nullcontext(sys.stdout)
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as err:
+        raise ParameterError(f"cannot write --out {path}: {err.strerror}") from err
 
 
-def _write_json(record: dict, out_path: str | None) -> None:
-    _emit(json.dumps(record, indent=2, allow_nan=False) + "\n", out_path)
+def _write_json(record: dict, fh) -> None:
+    fh.write(json.dumps(record, indent=2, allow_nan=False) + "\n")
 
 
 def cmd_simulate(args) -> int:
@@ -149,66 +161,136 @@ def cmd_simulate(args) -> int:
     replicas = check_integer("replicas", args.replicas, 1)
     check_budget(replicas, n, args.budget)
     if args.snapshots is not None:
-        times = sorted(set(_comma_list(args.snapshots, int)))  # range-checked by simulate_replicas
+        times = sorted({check_integer("snapshot times", t, 1, n)
+                        for t in _comma_list(args.snapshots, int)})
     elif args.fractions is not None:
         times = grid_times(_comma_list(args.fractions, float), n)
     elif args.exponents is not None:
         times = grid_times(_comma_list(args.exponents, float), n, exponent=True)
     else:
         times = [n]
-    positions, _ = simulate_replicas(params, n, times, seed, replicas)
     d = params.d
-    if args.format in ("csv", "jsonl"):
-        if args.format == "csv":
-            header = ",".join(["replica", "n"] + [f"x_{k + 1}" for k in range(d)]) + "\n"
-            row_format = ",".join(["%d"] * (d + 2)) + "\n"
+    columns = ["replica", "n"] + [f"x_{k + 1}" for k in range(d)]
+    with _open_out(args.out) as fh:
+        positions, _ = simulate_replicas(params, n, times, seed, replicas)
+        if args.format == "json":
+            rows = [[r, t, *x] for r, path in enumerate(positions.tolist())
+                    for t, x in zip(times, path)]
+            _write_json(_record("simulate", seed, params, {
+                "horizon": n, "replicas": replicas, "columns": columns, "rows": rows,
+            }), fh)
         else:
-            header = ""
-            row_format = '{"replica": %d, "n": %d, "x": [' + ", ".join(["%d"] * d) + "]}\n"
-        if args.out is None:
-            target = nullcontext(sys.stdout)
-        else:
-            target = open(args.out, "w", encoding="utf-8")
-        with target as fh:
-            fh.write(header)
-            _write_rows(fh, positions, times, row_format)
-    else:
-        rows = [row for block in _row_blocks(positions, times) for row in block.tolist()]
-        record = _record("simulate", seed, params, {
-            "horizon": n,
-            "replicas": replicas,
-            "columns": ["replica", "n"] + [f"x_{k + 1}" for k in range(d)],
-            "rows": rows,
-        })
-        _write_json(record, args.out)
+            if args.format == "csv":
+                fh.write(",".join(columns) + "\n")
+            _write_rows(fh, _row_template(args.format, d), positions, times)
     return EXIT_OK
 
 
-def _row_blocks(positions: np.ndarray, times):
-    """(replica, time, x_1..x_d) int64 rows, replica-major, about ``BLOCK_ROWS`` per block."""
-    R, T, d = positions.shape
+def _row_template(fmt: str, d: int) -> list[str]:
+    """The literal pieces between the d + 2 integer columns of one csv or jsonl row."""
+    if fmt == "csv":
+        return ["", *[","] * (d + 1), "\n"]
+    return ['{"replica": ', ', "n": ', ', "x": [', *[", "] * (d - 1), "]}\n"]
+
+
+def _write_rows(fh, template: list[str], positions: np.ndarray, times) -> None:
+    """Write the (replica, time, x_1..x_d) rows, replica-major, about ``BLOCK_ROWS`` per write."""
+    R, T, _ = positions.shape
     per_block = max(1, BLOCK_ROWS // T)
+    time_column = np.asarray(times, dtype=np.int64)[None, :]
     for r0 in range(0, R, per_block):
         block = positions[r0:r0 + per_block]
-        rows = np.empty((len(block), T, d + 2), dtype=np.int64)
-        rows[:, :, 0] = np.arange(r0, r0 + len(block))[:, None]
-        rows[:, :, 1] = times
-        rows[:, :, 2:] = block
-        yield rows.reshape(-1, d + 2)
+        replica_column = np.arange(r0, r0 + len(block))[:, None]
+        fh.write(_format_rows(template, [replica_column, time_column, *np.moveaxis(block, -1, 0)]))
 
 
-def _write_rows(fh, positions: np.ndarray, times, row_format: str) -> None:
-    """Write the rows of :func:`_row_blocks`, each block by one %-operation on
-    ``row_format`` repeated once per row."""
-    for rows in _row_blocks(positions, times):
-        fh.write(row_format * len(rows) % tuple(rows.ravel().tolist()))
+# A text row is a run of 8-byte cells.  A value cell holds one limb of 4
+# decimal digits right-aligned in bytes 0-4 (byte 0 is room for a '-'), then up
+# to 3 bytes of the literal that follows the value; a constant cell holds 8
+# bytes of a longer literal.  Unused bytes are NUL and are dropped at the end.
+_LIMB = 10**4
+_TOP = 2 * _LIMB - 1  # table index of the unpadded top limb 0; limbs -9999..9999 sit around it
+_BLANK = _TOP + _LIMB  # the all-NUL cell, for limbs above a value's top limb
+
+
+@functools.cache
+def _cell_table() -> np.ndarray:
+    """Value cells by index: padded limbs 0000..9999, unpadded signed limbs -9999..9999, blank."""
+    padded = np.arange(_LIMB)
+    top = np.arange(1 - _LIMB, _LIMB)
+    magnitude = np.abs(top)
+    digits = 1 + (magnitude >= 10) + (magnitude >= 100) + (magnitude >= 1000)
+    cells = np.zeros((_BLANK + 1, 8), dtype=np.uint8)
+    for place in range(4):  # byte 4 - place holds the digit worth 10**place
+        cells[:_LIMB, 4 - place] = ord("0") + padded // 10**place % 10
+        cells[_LIMB:_BLANK, 4 - place] = np.where(
+            place < digits, ord("0") + magnitude // 10**place % 10, 0)
+    negative = top < 0
+    cells[_LIMB + np.flatnonzero(negative), 4 - digits[negative]] = ord("-")
+    return cells.view(np.uint64).ravel()
+
+
+def _word(text: bytes) -> np.uint64:
+    """The cell holding ``text`` (at most 8 bytes), NUL-padded."""
+    return np.frombuffer(text.ljust(8, b"\0"), dtype=np.uint64)[0]
+
+
+def _limb_indices(values: np.ndarray, index: np.ndarray) -> None:
+    """Fill ``index``, of shape values.shape + (limbs,), with the table indices of
+    each value's limb cells, most significant first."""
+    limbs = index.shape[-1]
+    magnitude = np.abs(values) if limbs > 1 else values  # read only when limbs > 1
+    for i in range(limbs):  # limb i is worth _LIMB**i
+        q = magnitude // _LIMB**i if i else magnitude
+        cell = _TOP + (np.where(values < 0, -q, q) if i else values)  # q as the top limb
+        if i < limbs - 1:
+            cell = np.where(q >= _LIMB, q % _LIMB, cell)  # a padded lower limb
+        if i:
+            cell = np.where(q == 0, _BLANK, cell)  # above the value's top limb
+        index[..., limbs - 1 - i] = cell
+
+
+def _format_rows(template: list[str], columns) -> str:
+    """Rows of the integer ``columns`` (arrays broadcast to one shape, a row per
+    element) set between the literal pieces of ``template``: the text that
+    ``"%d".join(template)`` gives row by row, built from gathered table cells."""
+    literals = [piece.encode("ascii") for piece in template]
+    columns = [np.asarray(column, dtype=np.int64) for column in columns]
+    # each cell is (table index, word ORed into it): a column's last limb takes
+    # the first 3 bytes of the literal after it, the rest goes in blank cells
+    parts, tails = [], []
+    for column, literal in zip([None, *columns], literals):
+        if column is not None:
+            peak = max(-int(column.min()), int(column.max()))
+            limbs = next(k for k in range(1, 6) if peak < _LIMB**k)
+            parts.append((column, limbs))
+            tails += [0] * (limbs - 1) + [_word(bytes(5) + literal[:3])]
+            literal = literal[3:]
+        words = [_word(literal[i:i + 8]) for i in range(0, len(literal), 8)]
+        parts.append((None, len(words)))
+        tails += words
+    shape = np.broadcast_shapes(*(column.shape for column in columns))
+    index = np.empty(shape + (len(tails),), dtype=np.intp)
+    at = 0
+    for column, width in parts:
+        if column is None:
+            index[..., at:at + width] = _BLANK
+        else:
+            _limb_indices(column, index[..., at:at + width])
+        at += width
+    text = bytearray(8 * index.size)
+    cells = np.frombuffer(text, dtype=np.uint64).reshape(index.shape)
+    np.take(_cell_table(), index, out=cells, mode="clip")  # in range; "raise" buffers `out`
+    cells |= np.array(tails, dtype=np.uint64)
+    return text.translate(None, b"\0").decode("ascii")
 
 
 def cmd_classify(args) -> int:
     params = _parse_params(args)
     report = classify_regime(params)
     record = _record("classify", args.seed, params, report.to_dict())
-    _write_json(record, args.out)
+    with _open_out(args.out) as fh:
+        _write_json(record, fh)
     return EXIT_OK
 
 
@@ -223,7 +305,8 @@ def cmd_spectrum(args) -> int:
         "u1": data.u1.tolist(),
         "lambda2_multiplicity": data.lambda2_multiplicity,
     })
-    _write_json(record, args.out)
+    with _open_out(args.out) as fh:
+        _write_json(record, fh)
     return EXIT_OK
 
 
@@ -244,16 +327,16 @@ def cmd_verify(args) -> int:
         b.config(params, seed, args.horizon, args.replicas, step_budget=args.budget, **grid)
         for b in batteries
     ]
-    reports = []
-    for battery, cfg in zip(batteries, configs):
-        report = battery.runner(cfg)
-        reports.append(report)
-        for line in report.summary_lines():
-            print(line)
-    payload = reports[0].to_dict() if len(reports) == 1 else [r.to_dict() for r in reports]
-    record = _record("verify", seed, params, payload)
-    if args.out is not None:
-        _write_json(record, args.out)
+    with nullcontext() if args.out is None else _open_out(args.out) as report_fh:
+        reports = []
+        for battery, cfg in zip(batteries, configs):
+            report = battery.runner(cfg)
+            reports.append(report)
+            for line in report.summary_lines():
+                print(line)
+        payload = reports[0].to_dict() if len(reports) == 1 else [r.to_dict() for r in reports]
+        if report_fh is not None:
+            _write_json(_record("verify", seed, params, payload), report_fh)
     return EXIT_OK if all(r.passed for r in reports) else EXIT_STAT_FAIL
 
 

@@ -4,7 +4,10 @@ import json
 from importlib import resources
 
 import jsonschema
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from merw import cli
 from merw.cli import main
@@ -246,6 +249,41 @@ def test_simulate_rows_match_csv_and_json_reference(capsys, tmp_path, monkeypatc
     assert path.read_bytes() == expected.encode()
 
 
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_simulate_rows_past_replica_9999_match_reference(capsys, fmt):
+    # replica 10000 needs a second 4-digit limb; replicas 0-9999 leave it blank
+    code, out, _ = run_cli(capsys, "simulate", "-d", "1", "-p", "3/4", "-n", "2",
+                           "--replicas", "10001", "--seed", "8", "--format", fmt)
+    assert code == 0
+    assert out.splitlines() == _reference_rows(fmt, 1, 2, [2], 8, 10001).splitlines()
+
+
+LIMB_EDGES = np.array([0, 9, 9999, 10**4, 10**8 - 1, 10**8, 2**31 - 1])
+LIMB_EDGES = np.concatenate([LIMB_EDGES, -LIMB_EDGES[1:]])
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+@pytest.mark.parametrize("d", [1, 2, 3])
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_format_rows_matches_percent_d(fmt, d, data):
+    ncols = d + 2
+    drawn = data.draw(st.lists(
+        st.lists(st.integers(-(2**31 - 1), 2**31 - 1), min_size=ncols, max_size=ncols),
+        max_size=20))
+    # every column takes every edge value, next to values of other widths
+    edges = np.stack([np.roll(LIMB_EDGES, j) for j in range(ncols)], axis=1)
+    rows = np.concatenate([edges, np.array(drawn, dtype=np.int64).reshape(-1, ncols)])
+    rows = rows[data.draw(st.permutations(range(len(rows))))]
+    # formatted in blocks, as `merw simulate` writes them: each block sizes its own columns
+    block = data.draw(st.integers(1, len(rows)))
+    template = cli._row_template(fmt, d)
+    expected = "%d".join(template) * len(rows) % tuple(rows.ravel().tolist())
+    got = "".join(cli._format_rows(template, list(rows[i:i + block].T))
+                  for i in range(0, len(rows), block))
+    assert got == expected
+
+
 def test_simulate_without_seed_prints_one(capsys):
     code, out, err = run_cli(capsys, "simulate", "-d", "1", "-p", "0.5", "-n", "5")
     assert code == 0
@@ -261,6 +299,34 @@ def test_seed_range_validation(capsys):
     )
     assert code == 2
     assert "64-bit" in err
+
+
+@pytest.mark.parametrize("command", ["classify", "spectrum"])
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_seed_range_validation_in_every_subcommand(capsys, command, seed):
+    code, out, err = run_cli(capsys, command, "-d", "1", "-p", "1/2", "--seed", seed)
+    assert code == 2
+    assert out == ""
+    assert "64-bit" in err
+
+
+@pytest.mark.parametrize("argv, never_run", [
+    pytest.param(("simulate", "-n", "10"), "merw.cli.simulate_replicas", id="simulate"),
+    pytest.param(("verify", "clt", "-n", "100", "--replicas", "3"),
+                 "merw.montecarlo.run_ensemble", id="verify"),
+])
+def test_unwritable_out_is_a_usage_error_before_any_run(capsys, monkeypatch, tmp_path,
+                                                         argv, never_run):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{never_run} ran before --out was checked")
+
+    monkeypatch.setattr(never_run, refuse)
+    out_path = tmp_path / "no" / "such" / "dir.csv"
+    code, out, err = run_cli(capsys, *argv, "-d", "1", "-p", "1/2", "--seed", "1",
+                             "--out", str(out_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and str(out_path) in err
 
 
 # -------------------------------------------------------------------- verify

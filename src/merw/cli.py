@@ -1,9 +1,11 @@
 """Command-line front end: simulate, classify, spectrum, verify.
 
 Exit codes: 0 success / all gating checks passed, 1 statistical failure,
-2 usage or domain error, 3 step-budget guard.  Every randomized command is
-deterministic given --seed; when --seed is omitted one is drawn from OS
-entropy and printed to stderr so the run stays reproducible after the fact.
+2 usage or domain error, 3 step-budget guard, 141 stdout closed by its
+reader (a broken pipe, as in ``merw simulate ... | head``).  Every
+randomized command is deterministic given --seed; when --seed is omitted
+one is drawn from OS entropy and printed to stderr so the run stays
+reproducible after the fact.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import secrets
 import sys
 from contextlib import nullcontext
@@ -18,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .ensemble import DEFAULT_STEP_BUDGET, grid_times, simulate_replicas
+from .ensemble import DEFAULT_STEP_BUDGET, MAX_STEPS, grid_times, simulate_replicas
 from .montecarlo import BATTERIES
 from .params import (BudgetError, ModelParams, ParameterError, RegimeError, check_budget,
                      check_integer)
@@ -31,8 +34,9 @@ EXIT_OK = 0
 EXIT_STAT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process the signal ended
 
-#: Rows formatted per write by `merw simulate --format csv|jsonl`.
+#: Rows formatted per write by `merw simulate`.
 BLOCK_ROWS = 1 << 16
 
 VERIFY_SELECTORS = (*BATTERIES, "all")
@@ -150,14 +154,22 @@ def _open_out(path: str | None):
         raise ParameterError(f"cannot write --out {path}: {err.strerror}") from err
 
 
+def _json_text(record: dict) -> str:
+    return json.dumps(record, indent=2, allow_nan=False) + "\n"
+
+
 def _write_json(record: dict, fh) -> None:
-    fh.write(json.dumps(record, indent=2, allow_nan=False) + "\n")
+    fh.write(_json_text(record))
+
+
+#: Stands in for the rows of a ``--format json`` record while the rest is dumped.
+_ROWS = "\0rows"
 
 
 def cmd_simulate(args) -> int:
     params = _parse_params(args)
     seed = _resolve_seed(args)
-    n = check_integer("horizon", args.horizon, 1)
+    n = check_integer("horizon", args.horizon, 1, MAX_STEPS)
     replicas = check_integer("replicas", args.replicas, 1)
     check_budget(replicas, n, args.budget)
     if args.snapshots is not None:
@@ -171,37 +183,45 @@ def cmd_simulate(args) -> int:
         times = [n]
     d = params.d
     columns = ["replica", "n"] + [f"x_{k + 1}" for k in range(d)]
+    template = _row_template(args.format, d)
     with _open_out(args.out) as fh:
         positions, _ = simulate_replicas(params, n, times, seed, replicas)
         if args.format == "json":
-            rows = [[r, t, *x] for r, path in enumerate(positions.tolist())
-                    for t, x in zip(times, path)]
-            _write_json(_record("simulate", seed, params, {
-                "horizon": n, "replicas": replicas, "columns": columns, "rows": rows,
-            }), fh)
+            # rows is the record's last field: the text of the rest goes around them
+            head, tail = _json_text(_record("simulate", seed, params, {
+                "horizon": n, "replicas": replicas, "columns": columns, "rows": _ROWS,
+            })).split(json.dumps(_ROWS))
+            fh.write(head + "[\n")
+            _write_rows(fh, template, positions, times, drop=2)  # the last row's ",\n"
+            fh.write("\n    ]" + tail)
         else:
             if args.format == "csv":
                 fh.write(",".join(columns) + "\n")
-            _write_rows(fh, _row_template(args.format, d), positions, times)
+            _write_rows(fh, template, positions, times)
     return EXIT_OK
 
 
 def _row_template(fmt: str, d: int) -> list[str]:
-    """The literal pieces between the d + 2 integer columns of one csv or jsonl row."""
+    """The literal pieces between the d + 2 integer columns of one row: a csv
+    line, a jsonl line, or a ``rows`` entry of the indent-2 json record."""
     if fmt == "csv":
         return ["", *[","] * (d + 1), "\n"]
-    return ['{"replica": ', ', "n": ', ', "x": [', *[", "] * (d - 1), "]}\n"]
+    if fmt == "jsonl":
+        return ['{"replica": ', ', "n": ', ', "x": [', *[", "] * (d - 1), "]}\n"]
+    return ["      [\n        ", *[",\n        "] * (d + 1), "\n      ],\n"]
 
 
-def _write_rows(fh, template: list[str], positions: np.ndarray, times) -> None:
-    """Write the (replica, time, x_1..x_d) rows, replica-major, about ``BLOCK_ROWS`` per write."""
+def _write_rows(fh, template: list[str], positions: np.ndarray, times, drop: int = 0) -> None:
+    """Write the (replica, time, x_1..x_d) rows, replica-major, about ``BLOCK_ROWS``
+    per write, leaving off the last ``drop`` characters of the last row."""
     R, T, _ = positions.shape
     per_block = max(1, BLOCK_ROWS // T)
     time_column = np.asarray(times, dtype=np.int64)[None, :]
     for r0 in range(0, R, per_block):
         block = positions[r0:r0 + per_block]
         replica_column = np.arange(r0, r0 + len(block))[:, None]
-        fh.write(_format_rows(template, [replica_column, time_column, *np.moveaxis(block, -1, 0)]))
+        text = _format_rows(template, [replica_column, time_column, *np.moveaxis(block, -1, 0)])
+        fh.write(text[:len(text) - drop] if r0 + per_block >= R else text)
 
 
 # A text row is a run of 8-byte cells.  A value cell holds one limb of 4
@@ -347,7 +367,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as err:
         return err.code if isinstance(err.code, int) else EXIT_USAGE
     try:
-        return args.run(args)
+        code = args.run(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader went away (`merw simulate ... | head`): end quietly, and
+        # point stdout at devnull so the interpreter's final flush cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except (ParameterError, RegimeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE

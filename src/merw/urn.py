@@ -7,9 +7,10 @@ step counts, and the pairwise difference map recovers the walk position, so
 the urn is not simulated on its own: it is read off the ensemble simulation
 through :func:`project_counts`.  This module writes each defining fact of
 the model once: the first ball's colour law (the walk's first step), the
-exact added-colour law (for the walk = urn enumeration), the difference map
-and the second eigenvalue alpha = (2dp-1)/(2d-1) with the rest of the
-closed-form spectral data of the mean replacement matrix.
+exact added-colour law (the walk's next-step law, which the exact
+enumeration advances with), the difference map and the second eigenvalue
+alpha = (2dp-1)/(2d-1) with the rest of the closed-form spectral data of
+the mean replacement matrix.
 """
 
 from __future__ import annotations
@@ -37,29 +38,24 @@ def second_eigenvalue(d: int, p):
     return (2 * d * p - 1) / (2 * d - 1)
 
 
-def check_composition(counts: Sequence[int], twod: int, empty: str) -> list[int]:
-    """``counts`` as ints if they are ``twod`` integers >= 0, not all 0 (that raises ``empty``)."""
-    counts = list(counts)
-    if len(counts) != twod:
-        raise ParameterError(f"expected {twod} colour counts, got {len(counts)}")
-    counts = [check_integer("colour counts", c, 0) for c in counts]
-    if not any(counts):
-        raise ParameterError(empty)
-    return counts
-
-
 def added_colour_distribution_exact(
     counts: Sequence[int], params: ModelParams
 ) -> list[Fraction]:
     """Law of the added ball's colour given the current composition, exactly.
 
-    Per colour i: p * counts[i]/n + (1-p)/(2d-1) * (n-counts[i])/n.
+    Per colour i: p * counts[i]/n + (1-p)/(2d-1) * (n-counts[i])/n.  Read
+    with counts as the walk's per-direction step counts, this is the walk's
+    next-step law: a past step is remembered with weight counts[i]/n and
+    repeated with probability p.
     """
     twod = params.n_colours
-    counts = check_composition(
-        counts, twod, "added_colour_distribution_exact requires a non-empty urn"
-    )
+    counts = list(counts)
+    if len(counts) != twod:
+        raise ParameterError(f"expected {twod} colour counts, got {len(counts)}")
+    counts = [check_integer("colour counts", c, 0) for c in counts]
     n = sum(counts)
+    if n == 0:
+        raise ParameterError("added_colour_distribution_exact requires a non-empty urn")
     p = params.p_as_fraction()
     off = (1 - p) / (twod - 1)
     return [p * Fraction(c, n) + off * Fraction(n - c, n) for c in counts]

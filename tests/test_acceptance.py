@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from merw.enumeration import exact_small_n_pmf, project_pmf
+from merw.enumeration import exact_small_n_pmf
 from merw.montecarlo import BATTERIES
 from merw.params import ModelParams
 from merw.theory import (
@@ -24,6 +24,8 @@ from merw.theory import (
     diffusive_covariance,
 )
 from merw.urn import lambda2_eigenspace_basis, mean_replacement_matrix
+
+from tests._oracles import brute_force_walk_pmf
 
 SEED_CLT = 42
 SEED_CM = 42
@@ -64,7 +66,8 @@ def check_by_name(report, fragment):
     return [c for c in report.checks if fragment in c.name]
 
 
-# 1. exact law equality between walk and projected urn enumerations
+# 1. exact law equality: the projected urn enumeration against the walk's
+#    definitional sum over step histories
 def test_criterion_1_exact_law_equality():
     start = time.perf_counter()
     equal = True
@@ -73,9 +76,8 @@ def test_criterion_1_exact_law_equality():
             for q in (Fraction(1, 2), Fraction(7, 10)):
                 params = ModelParams(d, p, q)
                 for n in range(1, n_max + 1):
-                    walk = exact_small_n_pmf(params, n, engine="walk")
-                    urn = exact_small_n_pmf(params, n, engine="urn")
-                    equal = equal and walk == project_pmf(urn)
+                    walk = exact_small_n_pmf(params, n)
+                    equal = equal and walk == brute_force_walk_pmf(d, p, q, n)
                     equal = equal and sum(walk.values()) == 1
     elapsed = time.perf_counter() - start
     criterion(1, "exact law equality", equal and elapsed < 10,

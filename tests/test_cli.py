@@ -1,7 +1,12 @@
 import csv
+import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -218,38 +223,50 @@ def test_simulate_rejects_invalid_grids(capsys, grid):
 
 
 def _reference_rows(fmt, d, n, times, seed, replicas):
-    positions, _ = simulate_replicas(ModelParams(d, "3/4"), n, times, seed, replicas)
+    params = ModelParams(d, "3/4", "1/2")  # the CLI's -q default
+    positions, _ = simulate_replicas(params, n, times, seed, replicas)
+    columns = ["replica", "n"] + [f"x_{k + 1}" for k in range(d)]
     buf = io.StringIO()
     if fmt == "csv":
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["replica", "n"] + [f"x_{k + 1}" for k in range(d)])
+        writer.writerow(columns)
         for r in range(replicas):
             for i, t in enumerate(times):
                 writer.writerow([r, t] + [int(x) for x in positions[r, i]])
-    else:
+    elif fmt == "jsonl":
         for r in range(replicas):
             for i, t in enumerate(times):
                 buf.write(json.dumps({"replica": r, "n": t, "x": positions[r, i].tolist()}) + "\n")
+    else:
+        # the whole record in memory, dumped at once
+        rows = [[r, t, *x] for r, path in enumerate(positions.tolist())
+                for t, x in zip(times, path)]
+        record = {"schema_version": "2", "command": "simulate", "seed": seed,
+                  "params": params.to_dict(), "results": {
+                      "horizon": n, "replicas": replicas, "columns": columns, "rows": rows}}
+        buf.write(json.dumps(record, indent=2) + "\n")
     return buf.getvalue()
 
 
-@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+@pytest.mark.parametrize("fmt", ["csv", "jsonl", "json"])
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_simulate_rows_match_csv_and_json_reference(capsys, tmp_path, monkeypatch, fmt, d):
-    # 3 snapshots per replica and 2 replicas per block: 11 replicas end on a partial block
+    # 3 snapshots per replica and 2 replicas per block: 11 replicas end on a
+    # partial block, 10 on a full one
     monkeypatch.setattr(cli, "BLOCK_ROWS", 7)
-    args = ["simulate", "-d", str(d), "-p", "3/4", "-n", "40", "--replicas", "11",
-            "--fractions", "0.25,0.5,1.0", "--seed", "8", "--format", fmt]
-    expected = _reference_rows(fmt, d, 40, [10, 20, 40], 8, 11)
-    code, out, _ = run_cli(capsys, *args)
-    assert code == 0 and out == expected
-    path = tmp_path / f"rows.{fmt}"
-    code, out, _ = run_cli(capsys, *args, "--out", str(path))
-    assert code == 0 and out == ""
-    assert path.read_bytes() == expected.encode()
+    for replicas in (11, 10):
+        args = ["simulate", "-d", str(d), "-p", "3/4", "-n", "40", "--replicas", str(replicas),
+                "--fractions", "0.25,0.5,1.0", "--seed", "8", "--format", fmt]
+        expected = _reference_rows(fmt, d, 40, [10, 20, 40], 8, replicas)
+        code, out, _ = run_cli(capsys, *args)
+        assert code == 0 and out == expected
+        path = tmp_path / f"rows.{fmt}"
+        code, out, _ = run_cli(capsys, *args, "--out", str(path))
+        assert code == 0 and out == ""
+        assert path.read_bytes() == expected.encode()
 
 
-@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+@pytest.mark.parametrize("fmt", ["csv", "jsonl", "json"])
 def test_simulate_rows_past_replica_9999_match_reference(capsys, fmt):
     # replica 10000 needs a second 4-digit limb; replicas 0-9999 leave it blank
     code, out, _ = run_cli(capsys, "simulate", "-d", "1", "-p", "3/4", "-n", "2",
@@ -258,11 +275,41 @@ def test_simulate_rows_past_replica_9999_match_reference(capsys, fmt):
     assert out.splitlines() == _reference_rows(fmt, 1, 2, [2], 8, 10001).splitlines()
 
 
+# SHA-256 of `merw simulate --format json` as the whole record was once
+# dumped in memory with json.dumps(indent=2); the streamed rows must match it
+JSON_DIGESTS = [
+    (("-d", "1", "-p", "3/4", "-n", "40", "--replicas", "11",
+      "--fractions", "0.25,0.5,1.0", "--seed", "8"),
+     "17476cc401fcc8006a592480fb5264188eb934e3b8ec084404415580be90f566"),
+    (("-d", "2", "-p", "1/2", "-n", "100", "--replicas", "5",
+      "--snapshots", "10,50,100", "--seed", "3"),
+     "2cbba195522b9506b725b0a551d785d9585c7a1bca6e303459659e539e3f9353"),
+    (("-d", "3", "-p", "0.4", "-n", "30", "--replicas", "3", "--seed", "1"),
+     "2192702d9329fa5529b74c8209a28ef65450ba40c4ec2748b8492824838b5bb2"),
+    (("-d", "1", "-p", "0.95", "-n", "30000", "--replicas", "4",
+      "--fractions", "0.5,1.0", "--seed", "2"),
+     "8bedb7d1b45093d81c27816f6d5079ce50eac103a231744ba664ddee6feb959c"),
+    # 140 000 rows: three row blocks, the last one partial
+    (("-d", "1", "-p", "0.9", "-n", "20", "--replicas", "70000",
+      "--fractions", "0.5,1.0", "--seed", "11"),
+     "71364c9c729154427603d24fd61156ad5456e2eaae0588bced6e8bd240bb640c"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", JSON_DIGESTS,
+                         ids=["d1", "d2-negative", "d3", "d1-two-limbs", "d1-three-blocks"])
+def test_simulate_json_bytes_are_pinned(capsys, tmp_path, argv, digest):
+    path = tmp_path / "record.json"
+    code, _, _ = run_cli(capsys, "simulate", *argv, "--format", "json", "--out", str(path))
+    assert code == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
 LIMB_EDGES = np.array([0, 9, 9999, 10**4, 10**8 - 1, 10**8, 2**31 - 1])
 LIMB_EDGES = np.concatenate([LIMB_EDGES, -LIMB_EDGES[1:]])
 
 
-@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+@pytest.mark.parametrize("fmt", ["csv", "jsonl", "json"])
 @pytest.mark.parametrize("d", [1, 2, 3])
 @settings(max_examples=50, deadline=None)
 @given(data=st.data())
@@ -282,6 +329,61 @@ def test_format_rows_matches_percent_d(fmt, d, data):
     got = "".join(cli._format_rows(template, list(rows[i:i + block].T))
                   for i in range(0, len(rows), block))
     assert got == expected
+
+
+# runs `merw` in a fresh interpreter and reports its peak RSS (KiB) on stderr.
+# ru_maxrss would not do: across fork and exec it keeps the parent's peak, so
+# a child of a large test process reads that process's memory, not its own
+CHILD = """
+import sys
+from merw.cli import main
+code = main(sys.argv[1:])
+with open("/proc/self/status") as fh:
+    peak = next(line.split()[1] for line in fh if line.startswith("VmHWM:"))
+print("peak_kib", peak, file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def child(*argv, **kwargs):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.Popen([sys.executable, "-c", CHILD, *argv], env=env,
+                            stderr=subprocess.PIPE, text=True, **kwargs)
+
+
+def test_simulate_json_peak_memory_stays_near_csv(tmp_path):
+    peaks = {}
+    for fmt in ("csv", "json"):
+        proc = child("simulate", "-d", "2", "-p", "1/2", "-n", "100", "--replicas", "10000",
+                     "--fractions", ",".join(f"0.{k}" for k in range(1, 10)) + ",1.0",
+                     "--seed", "4", "--format", fmt, "--out", str(tmp_path / f"rows.{fmt}"))
+        _, err = proc.communicate()
+        assert proc.returncode == 0, err
+        peaks[fmt] = int(err.split("peak_kib")[-1]) / 1024
+    assert peaks["json"] - peaks["csv"] <= 20, peaks
+
+
+def test_simulate_into_a_closed_pipe_exits_141_without_a_traceback():
+    proc = child("simulate", "-d", "1", "-p", "1/2", "-n", "10", "--replicas", "100000",
+                 "--seed", "1", stdout=subprocess.PIPE)
+    proc.stdout.close()  # the reader is gone before the first row is written
+    err = proc.stderr.read()
+    assert proc.wait() == 141
+    assert "Traceback" not in err and "Error" not in err, err
+
+
+def test_simulate_horizon_past_max_steps_leaves_out_untouched(capsys, tmp_path):
+    path = tmp_path / "existing.csv"
+    path.write_bytes(b"replica,n,x_1\n0,5,1\n")
+    code, out, err = run_cli(capsys, "simulate", "-d", "1", "-p", "1/2", "-n", str(2**31),
+                             "--replicas", "1", "--budget", str(10**10), "--seed", "1",
+                             "--out", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: horizon")
+    assert path.read_bytes() == b"replica,n,x_1\n0,5,1\n"
 
 
 def test_simulate_without_seed_prints_one(capsys):

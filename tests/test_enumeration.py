@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from merw.enumeration import exact_small_n_pmf, n_budget, project_pmf
+from merw.enumeration import exact_small_n_pmf, n_budget
 from merw.params import BudgetError, ModelParams, ParameterError
 
 from tests._oracles import brute_force_walk_pmf
@@ -21,9 +21,6 @@ def test_one_step_law_is_first_step_law():
     pmf = exact_small_n_pmf(params, 1)
     assert pmf[(1, 0)] == Fraction(7, 10)
     assert pmf[(-1, 0)] == pmf[(0, 1)] == pmf[(0, -1)] == Fraction(1, 10)
-    urn = exact_small_n_pmf(params, 1, engine="urn")
-    assert urn[(1, 0, 0, 0)] == Fraction(7, 10)
-    assert sum(urn.values()) == 1
 
 
 def test_probabilities_sum_to_exactly_one():
@@ -32,21 +29,9 @@ def test_probabilities_sum_to_exactly_one():
             for q in Q_GRID:
                 params = ModelParams(d, p, q)
                 for n in range(1, n_max + 1):
-                    for engine in ("walk", "urn"):
-                        pmf = exact_small_n_pmf(params, n, engine=engine)
-                        assert sum(pmf.values()) == 1
-                        assert all(v >= 0 for v in pmf.values())
-
-
-def test_walk_pmf_equals_projected_urn_pmf():
-    for d, n_max in ((1, 6), (2, 4)):
-        for p in P_GRID:
-            for q in Q_GRID:
-                params = ModelParams(d, p, q)
-                for n in range(1, n_max + 1):
-                    walk = exact_small_n_pmf(params, n, engine="walk")
-                    urn = exact_small_n_pmf(params, n, engine="urn")
-                    assert walk == project_pmf(urn)
+                    pmf = exact_small_n_pmf(params, n)
+                    assert sum(pmf.values()) == 1
+                    assert all(v >= 0 for v in pmf.values())
 
 
 def test_against_brute_force_over_histories_d1():
@@ -65,6 +50,13 @@ def test_against_brute_force_over_histories_d2():
         assert exact_small_n_pmf(params, n, max_n=4) == brute_force_walk_pmf(
             2, Fraction(3, 5), Fraction(7, 10), n
         )
+
+
+def test_against_brute_force_over_histories_d3():
+    for p in (Fraction(1, 10), Fraction(1, 2), Fraction(9, 10)):
+        params = ModelParams(3, p, Fraction(2, 5))
+        for n in range(1, 4):
+            assert exact_small_n_pmf(params, n) == brute_force_walk_pmf(3, p, Fraction(2, 5), n)
 
 
 def test_symmetry_for_balanced_first_step_d1():
@@ -110,8 +102,6 @@ def test_budget_override_must_be_a_positive_integer(max_n):
 def test_invalid_arguments():
     with pytest.raises(ParameterError):
         exact_small_n_pmf(ModelParams(1, "1/2"), 0)
-    with pytest.raises(ParameterError):
-        exact_small_n_pmf(ModelParams(1, "1/2"), 2, engine="dice")
 
 
 def test_float_params_enumerate_their_exact_binary_values():

@@ -9,8 +9,9 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from merw.ensemble import simulate_replicas
-from merw.enumeration import exact_small_n_pmf, step_distribution_exact
+from merw.enumeration import exact_small_n_pmf
 from merw.params import ModelParams, ParameterError
+from merw.urn import added_colour_distribution_exact
 
 
 from tests._oracles import compositions
@@ -30,26 +31,8 @@ def test_first_step_symmetric_d1():
 
 
 # ----------------------------------------------------------------- next step
-
-def test_step_law_repeat_probability_d1():
-    # one remembered +e_1 step: repeat with probability p
-    exact = step_distribution_exact([1, 0], ModelParams(1, 0.75))
-    assert exact == [Fraction(3, 4), Fraction(1, 4)]
-
-
-def test_step_law_uniform_counts_gives_uniform_step():
-    for d in (1, 2, 3):
-        params = ModelParams(d, "3/10")
-        law = step_distribution_exact([5] * (2 * d), params)
-        assert law == [Fraction(1, 2 * d)] * (2 * d)
-
-
-def test_step_law_two_stage_example():
-    # d=2, counts=(2,1,0,0), p=0.6: P(+e_1) = (2/3)*0.6 + (1/3)*(0.4/3) = 4/9
-    params = ModelParams(2, "3/5")
-    exact = step_distribution_exact([2, 1, 0, 0], params)
-    assert exact[0] == Fraction(4, 9)
-
+# The next-step law is the urn's added-colour law read on step counts; its
+# single values are checked in tests/test_urn.py.
 
 def test_step_law_sums_to_one_everywhere():
     # enumerate all count vectors with n <= 5 for d <= 3
@@ -58,21 +41,15 @@ def test_step_law_sums_to_one_everywhere():
             params = ModelParams(d, p)
             for n in range(1, 6):
                 for counts in compositions(n, 2 * d):
-                    exact = step_distribution_exact(counts, params)
+                    exact = added_colour_distribution_exact(counts, params)
                     assert sum(exact) == 1
                     assert all(w >= 0 for w in exact)
-
-
-def test_step_requires_history():
-    params = ModelParams(1, 0.5)
-    with pytest.raises(ValueError, match="at least one past step"):
-        step_distribution_exact([0, 0], params)
 
 
 def test_memory_at_one_half_is_not_uniform_for_d2():
     # only d = 1 reduces to the simple walk at p = 1/2: for d >= 2 a repeat
     # probability of 1/2 exceeds the uniform 1/(2d)
-    law = step_distribution_exact([1, 0, 0, 0], ModelParams(2, "1/2"))
+    law = added_colour_distribution_exact([1, 0, 0, 0], ModelParams(2, "1/2"))
     assert law == [Fraction(1, 2), Fraction(1, 6), Fraction(1, 6), Fraction(1, 6)]
 
 

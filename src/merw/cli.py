@@ -173,8 +173,10 @@ def cmd_simulate(args) -> int:
     replicas = check_integer("replicas", args.replicas, 1)
     check_budget(replicas, n, args.budget)
     if args.snapshots is not None:
-        times = sorted({check_integer("snapshot times", t, 1, n)
-                        for t in _comma_list(args.snapshots, int)})
+        times = [check_integer("snapshot times", t, 1, n)
+                 for t in _comma_list(args.snapshots, int)]
+        if times != sorted(set(times)):
+            raise ParameterError(f"snapshot grid must be strictly increasing, got {tuple(times)}")
     elif args.fractions is not None:
         times = grid_times(_comma_list(args.fractions, float), n)
     elif args.exponents is not None:

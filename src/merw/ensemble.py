@@ -20,17 +20,19 @@ definition), computed for all replicas in one pass by ``replica_keys``: the
 seed words are mixed into the hash pool once, and only the spawn words of r
 are hashed per replica, over uint32 arrays.  Each replica still gets its own
 Philox, built by ``replica_generator`` from its key, because its words are
-read one ``random_raw`` call per replica and draw chunk, with a replica's
+read one ``random_raw`` call per replica and draw pass, with a replica's
 pending 32-bit half carried inside its generator from one call to the next.
 Draw chunk 0 is step 1 alone, and each later chunk up to ``CHUNK_STEPS``
-steps; a chunk takes exactly numpy's ``Generator`` calls ``integers(0,
-highs)`` (highs = the step count before each step, from step 3 on),
-``random(width)`` and ``integers(0, 2d-1, size=width)``, read as raw Philox
-words and decoded in bulk by numpy's rules (Lemire's bounded integers on
-32-bit halves, doubles from the top 53 bits) into step-major buffers; a
-replica whose chunk meets a rejected draw is replayed one draw at a time.
-``tests/test_golden.py`` pins digests of the sampled paths, so drift in the
-kernel or in numpy's streams shows.
+steps; the first pass reads chunks 0 and 1, each later pass one chunk, and
+as a replica's words are sequential in one stream no draw changes step.  A
+chunk takes exactly numpy's ``Generator`` calls ``integers(0, highs)``
+(highs = the step count before each step, from step 3 on), ``random(width)``
+and ``integers(0, 2d-1, size=width)``, read as raw Philox words and decoded
+in bulk by numpy's rules (Lemire's bounded integers on 32-bit halves,
+doubles from the top 53 bits) into step-major buffers; a replica whose chunk
+meets a rejected draw is replayed one draw at a time.  ``tests/test_golden.py``
+pins digests of the sampled paths, so drift in the kernel or in numpy's
+streams shows.
 
 Position moments come from exact integer snapshot sums, so summaries are
 deterministic.  The replica cross-moments sum_r x[r,t,i] x[r,s,j] are one
@@ -39,7 +41,8 @@ product and partial sum is an integer below 2^53) while R * max|x|^2 < 2^53
 for the observed positions; diffusive walks have |x| ~ sqrt(n), so this holds
 with a wide margin at every default shape.  Past that guard they are summed
 in int64 while R * max|x|^2 < 2^62, else in float64.  The per-replica snapshot
-positions are kept in the summary for median and fraction diagnostics.
+positions are kept in the summary for median and fraction diagnostics, as an
+(R, T, d) view of a (T, d, R) array that stores a snapshot row per axis.
 """
 
 from __future__ import annotations
@@ -65,8 +68,8 @@ DEFAULT_STEP_BUDGET = 10**9
 #: implement.
 MAX_STEPS = 2**31 - 1
 
-#: Replicas whose draws are decoded together.
-_DECODE_BLOCK = 256
+#: Replicas whose draws are decoded together, sized for L2.
+_DECODE_BLOCK = 128
 
 _TWO32 = np.uint64(2**32)
 
@@ -256,8 +259,8 @@ class EnsembleSummary:
 
     ``mean_position``, ``position_cov`` and ``mean_se`` are raw (integer
     position) moments: shape (T, d), (T, T, d, d) and (T, d); verification
-    layers apply the regime-appropriate normalization.  ``positions`` is the
-    (R, T, d) array of raw snapshot positions.
+    layers apply the regime-appropriate normalization.  ``positions`` holds the
+    raw snapshot positions as an (R, T, d) view of a (T, d, R) array.
     """
 
     params: ModelParams
@@ -292,19 +295,21 @@ def _plan(segments, pending: int):
     return spans, pos
 
 
-def _decode(words, held, spans, segments):
+def _decode(words, held, spans, segments, scratch):
     """Decode the (G, K) uint64 words of replicas that share one pending flag.
 
     ``held`` holds their (G,) pending halves, or is None when they hold none.
     A bounded draw in [0, h) takes a half u and gives (u*h) >> 32; numpy draws
-    again iff (u*h) mod 2^32 < (2^32 - h) mod h.  Returns one (G, len) array
-    per segment (raw words, or the draws as uint32), the rows that met a
-    rejection, whose values must be replayed, and the pending halves after.
+    again iff (u*h) mod 2^32 < (2^32 - h) mod h.  ``scratch`` holds per
+    bounded segment those limits and a product and a compare buffer of at
+    least G rows.  Returns one (G, len) array per segment (raw words, or the
+    draws as uint32), the rows that met a rejection, whose values must be
+    replayed, and the pending halves after.
     """
     G = len(words)
     rejected = np.zeros(G, dtype=bool)
     values = []
-    for (start, stop, pending), seg in zip(spans, segments):
+    for (start, stop, pending), seg, buffers in zip(spans, segments, scratch):
         block = words[:, start:stop]
         if isinstance(seg, int):
             values.append(block)
@@ -314,12 +319,12 @@ def _decode(words, held, spans, segments):
             values.append(np.empty((G, 0), dtype=np.uint32))
             continue
         halves = block.astype("<u8", copy=False).view("<u4")  # low half of each word first
-        product = np.empty((G, a), dtype=np.uint64)
+        limit, product, below = buffers[0], buffers[1][:G], buffers[2][:G]
         if pending:
             np.multiply(held, seg[0], out=product[:, 0])
         np.multiply(halves[:, : a - pending], seg[pending:], out=product[:, pending:])
         parts = product.astype("<u8", copy=False).view("<u4")
-        rejected |= (parts[:, 0::2] < (_TWO32 - seg) % seg).any(axis=1)
+        rejected |= np.less(parts[:, 0::2], limit, out=below).any(axis=1)
         values.append(parts[:, 1::2])
         left_over = pending + 2 * (stop - start) > a
         held = halves[:, a - pending].astype(np.uint64) if left_over else None
@@ -369,9 +374,15 @@ def _decoded_blocks(bitgens, held, segments):
     decoded together per pending flag, and a replica that met a rejection is
     replayed by :func:`_replay`.  Yields (columns, values): the replicas as a
     slice or an index array, and one array per segment with a row for each.
+    The values are views of buffers that the next block reuses.
     """
     plans = {pending: _plan(segments, pending) for pending in (0, 1)}
     R = len(bitgens)
+    block = min(R, _DECODE_BLOCK)
+    word_buf = np.empty((block, max(total for _, total in plans.values())), dtype=np.uint64)
+    scratch = [None if isinstance(seg, int) else (((_TWO32 - seg) % seg).astype(np.uint32),
+               np.empty((block, len(seg)), np.uint64), np.empty((block, len(seg)), bool))
+               for seg in segments]
     for r0 in range(0, R, _DECODE_BLOCK):
         r1 = min(R, r0 + _DECODE_BLOCK)
         # group on the flags as they stand before any replica of the block is redrawn
@@ -381,11 +392,11 @@ def _decoded_blocks(bitgens, held, segments):
             if not rows.size:
                 continue
             spans, total = plans[pending]
-            words = np.empty((rows.size, total), dtype=np.uint64)
+            words = word_buf[:rows.size, :total]
             for i, r in enumerate(rows.tolist()):
                 words[i] = bitgens[r].random_raw(total)
             start = held[rows].astype(np.uint64) if pending else None
-            values, rejected, end = _decode(words, start, spans, segments)
+            values, rejected, end = _decode(words, start, spans, segments, scratch)
             held[rows] = -1 if end is None else end
             for i in np.flatnonzero(rejected).tolist():
                 replayed, half = _replay(
@@ -397,36 +408,43 @@ def _decoded_blocks(bitgens, held, segments):
             yield (slice(r0, r1) if rows.size == r1 - r0 else rows), values
 
 
-def _flip_highs(twod: int, count: int) -> np.ndarray:
-    # at d = 1 the other colour is unique and numpy draws nothing for it
-    return np.full(count if twod > 2 else 0, twod - 1, dtype=np.uint64)
-
-
-def _draw_chunk(bitgens, held, step_lo, step_hi, m_buf, rep_buf, j_buf, twod, repeat_below):
+def _draw_chunk(bitgens, held, step_lo, step_hi, m_buf, rep_buf, j_buf, params):
     """Draw steps [step_lo, step_hi] into the step-major buffers (row k = step step_lo + k).
 
-    Per replica these are numpy's ``integers(0, highs)`` with highs the step
-    count before each step, ``random(width)`` and ``integers(0, 2d-1,
-    size=width)``, in that order: ``m_buf`` gets the remembered draws,
-    ``rep_buf`` 1 where the uniform's raw word is below ``repeat_below``, else
-    0, and ``j_buf`` the flip draws (left as they are at d = 1, where they are
-    all 0).
+    The steps are one draw chunk, or from step_lo = 1 chunk 0 (step 1, which
+    repeats colour 0 with probability q) and chunk 1, all read from one
+    ``random_raw`` call per replica.  Per chunk and replica the draws are
+    numpy's ``integers(0, highs)`` with highs the step count before each
+    step, ``random(width)`` and ``integers(0, 2d-1, size=width)``, in that
+    order: ``m_buf`` gets the remembered draws, ``rep_buf`` 1 where the
+    uniform's raw word is below the chunk's repeat bound (for q or p), else
+    0, and ``j_buf`` the flip draws (left as they are at d = 1, where they
+    are all 0).
     """
-    width = step_hi - step_lo + 1
+    twod = params.n_colours
+    chunks = [(step_lo, step_hi, _below(params.p))]
+    if step_lo == 1:  # chunk 1 is empty, and draws nothing, at n = 1
+        chunks = [(1, 1, _below(params.q)), (2, step_hi, _below(params.p))]
     # no draw for m at step 1 (m = -1 matches no CDF row: colour 0) or step 2 (m = 0: step 1)
-    skip = int(step_lo <= 2)
-    if skip:
-        m_buf[0] = step_lo - 2
-    segments = [
-        np.arange(step_lo - 1 + skip, step_hi, dtype=np.uint64),
-        width,
-        _flip_highs(twod, width),
-    ]
-    for cols, (m, raw, j) in _decoded_blocks(bitgens, held, segments):
-        m_buf[skip:width, cols] = m.T
-        rep_buf[:width, cols] = raw.T < repeat_below
-        if twod > 2:
-            j_buf[:width, cols] = j.T
+    fixed = np.arange(step_lo - 2, min(step_hi, 2) - 1)
+    m_buf[:fixed.size] = fixed[:, None]
+    segments = []
+    for lo, hi, _ in chunks:
+        width = hi - lo + 1
+        highs = np.arange(max(lo, 3) - 1, hi, dtype=np.uint64)
+        # at d = 1 the other colour is unique and numpy draws nothing for it
+        flips = np.full(width if twod > 2 else 0, twod - 1, dtype=np.uint64)
+        segments += [highs, width, flips]
+    width = step_hi - step_lo + 1
+    below = np.empty((min(len(bitgens), _DECODE_BLOCK), width), dtype=bool)
+    for cols, values in _decoded_blocks(bitgens, held, segments):
+        for (lo, hi, bound), m, raw, j in zip(chunks, values[0::3], values[1::3], values[2::3]):
+            rows = slice(lo - step_lo, hi - step_lo + 1)
+            m_buf[rows.stop - m.shape[1]:rows.stop, cols] = m.T
+            # compare while replica-major, then move the 1-byte result step-major
+            rep_buf[rows, cols] = np.less(raw, bound, out=below[:len(raw), rows]).T
+            if twod > 2:
+                j_buf[rows, cols] = j.T
     return width
 
 
@@ -448,20 +466,21 @@ def simulate_replicas(
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Run ``replicas`` independent paths to time n, recording snapshots.
 
-    Returns (positions, cm_sums): positions has shape (R, T, d) with T the
-    number of distinct snapshot times in ascending order; cm_sums is the
-    (R, d) array of per-replica running position sums (so G_n = cm_sums / n)
-    or None when not tracked.  Requires 1 <= n < 2^31, replicas >= 1, an
-    unsigned 64-bit master seed and integer snapshot times in [1, n].
+    Returns (positions, cm_sums): positions is an (R, T, d) view of a (T, d,
+    R) array, T the number of distinct snapshot times in ascending order;
+    cm_sums is the (R, d) array of per-replica running position sums (so G_n
+    = cm_sums / n) or None when not tracked.  Requires 1 <= n < 2^31,
+    replicas >= 1, an unsigned 64-bit master seed and snapshot times in [1, n].
 
     Each step remembers the colour of a uniform past step and repeats it with
-    probability p, else takes a uniform other colour; step 1, drawn alone as
-    draw chunk 0, remembers colour 0 and repeats it with probability q.  A
-    replica's state is its colour CDF, cdf[c] = number of steps with colour
-    <= c for c < 2d-1, kept as (2d-1, R) rows: the remembered colour is the
-    number of rows at or below the remembered draw m, and a step of colour x
-    adds one to every row c >= x.  Positions are read off the CDF only at
-    snapshot times, and the centre of mass from the CDF's running sum.
+    probability p, else takes a uniform other colour; step 1, draw chunk 0,
+    remembers colour 0 and repeats it with probability q, and is read with
+    draw chunk 1 in one ``random_raw`` call per replica.  A replica's state
+    is its colour CDF, cdf[c] = number of steps with colour <= c for c <
+    2d-1, kept as (2d-1, R) rows: the remembered colour is the number of
+    rows at or below the remembered draw m, and a step of colour x adds one
+    to every row c >= x.  Positions are read off the CDF only at snapshot
+    times, and the centre of mass from the CDF's running sum.
     """
     d = params.d
     twod = params.n_colours
@@ -475,8 +494,8 @@ def simulate_replicas(
     held = np.full(R, -1, dtype=np.int64)
 
     colour = np.int8 if twod <= 127 else np.int32
-    out = np.zeros((R, len(times), d), dtype=np.int64)
-    chunk = min(CHUNK_STEPS, n)
+    out = np.zeros((len(times), d, R), dtype=np.int64)
+    chunk = min(CHUNK_STEPS + 1, n)
     m_buf = np.empty((chunk, R), dtype=np.int32)
     rep_buf = np.empty((chunk, R), dtype=colour)
     j_buf = np.zeros((chunk, R), dtype=colour)
@@ -488,10 +507,9 @@ def simulate_replicas(
     cm = np.zeros((twod - 1, R), dtype=np.int64) if track_center_of_mass else None
     step = 1
     while step <= n:
-        # draw chunk 0 is step 1 alone, which repeats colour 0 with probability q
-        hi = 1 if step == 1 else min(n, step + CHUNK_STEPS - 1)
-        repeat_below = _below(params.q) if step == 1 else _below(params.p)
-        width = _draw_chunk(bitgens, held, step, hi, m_buf, rep_buf, j_buf, twod, repeat_below)
+        # the first pass draws chunk 0 (step 1 alone) and chunk 1 together
+        hi = min(n, step + CHUNK_STEPS - (step > 1))
+        width = _draw_chunk(bitgens, held, step, hi, m_buf, rep_buf, j_buf, params)
         for k in range(width):
             # remembered colour: the number of CDF rows at or below m
             np.greater_equal(m_buf[k], cdf, out=at_or_below)
@@ -509,28 +527,28 @@ def simulate_replicas(
                 cm += cdf
             t = step + k
             if t in time_slot:
-                out[:, time_slot[t], :] = _positions(cdf, t)
+                out[time_slot[t]] = _positions(cdf, t).T
         step = hi + 1
     if cm is not None:
         cm = _positions(cm, n * (n + 1) // 2)
-    return out, cm
+    return out.transpose(2, 0, 1), cm
 
 
 def _cross_moments(positions: np.ndarray) -> np.ndarray:
     """Sum over replicas of x[r, t, i] * x[r, s, j], shape (T, T, d, d), as float64.
 
-    Computed as one BLAS Gram product X^T X over X = positions viewed as
-    (R, T*d) in float64.  Every product and every partial sum is then an
-    integer of magnitude at most R * max|x|^2, so while that is below 2^53 the
-    result is exact, bit-identical to the integer sum, in whatever order and on
-    however many threads BLAS sums.  Past that, the sum is exact in int64
-    while R * max|x|^2 < 2^62, and rounded in float64 beyond.
+    Computed as one BLAS Gram product X X^T over X = positions viewed (with no
+    copy of the axis-major array) as (T*d, R) in float64.  Every product and
+    every partial sum is then an integer of magnitude at most R * max|x|^2, so
+    while that is below 2^53 the result is exact, bit-identical to the integer
+    sum, in whatever order and on however many threads BLAS sums.  Past that,
+    it is exact in int64 while R * max|x|^2 < 2^62, and rounded in float64.
     """
     R, T, d = positions.shape
     peak = int(np.abs(positions).max()) if positions.size else 0
     if R * peak * peak < 2**53:
-        x = positions.reshape(R, T * d).astype(np.float64)
-        return (x.T @ x).reshape(T, d, T, d).transpose(0, 2, 1, 3)
+        x = positions.transpose(1, 2, 0).reshape(T * d, R).astype(np.float64)
+        return (x @ x.T).reshape(T, d, T, d).transpose(0, 2, 1, 3)
     if R * peak * peak < 2**62:
         return np.einsum("rti,rsj->tsij", positions, positions).astype(np.float64)
     return np.einsum(

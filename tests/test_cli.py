@@ -222,6 +222,33 @@ def test_simulate_rejects_invalid_grids(capsys, grid):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("grid", [
+    pytest.param(("--snapshots", "5,5"), id="snapshots-repeated"),
+    pytest.param(("--snapshots", "10,5"), id="snapshots-unsorted"),
+    pytest.param(("--fractions", "0.5,0.5"), id="fractions-repeated"),
+])
+def test_simulate_refuses_grids_that_are_not_strictly_increasing(capsys, grid):
+    code, out, err = run_cli(
+        capsys, "simulate", "-d", "1", "-p", "0.5", "-n", "10", "--seed", "1", *grid
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: snapshot grid must be strictly increasing")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl", "json"])
+def test_rows_do_not_depend_on_the_positions_layout(monkeypatch, fmt):
+    # simulate_replicas returns an axis-major view; a replica-major copy writes the same bytes
+    monkeypatch.setattr(cli, "BLOCK_ROWS", 7)
+    times = [10, 20, 40]
+    positions, _ = simulate_replicas(ModelParams(2, "3/4"), 40, times, 8, 11)
+    texts = []
+    for layout in (positions, np.ascontiguousarray(positions)):
+        buf = io.StringIO()
+        cli._write_rows(buf, cli._row_template(fmt, 2), layout, times)
+        texts.append(buf.getvalue())
+    assert texts[0] == texts[1] and texts[0]
+
+
 def _reference_rows(fmt, d, n, times, seed, replicas):
     params = ModelParams(d, "3/4", "1/2")  # the CLI's -q default
     positions, _ = simulate_replicas(params, n, times, seed, replicas)

@@ -17,7 +17,9 @@ import numpy as np
 import pytest
 
 import merw
+import merw.ensemble
 from merw.ensemble import (
+    _DECODE_BLOCK,
     CHUNK_STEPS,
     _decoded_blocks,
     _key_seed_type,
@@ -39,6 +41,10 @@ from tests._oracles import lockstep_replicas
         (2, "9/10", "1/2", 2, 5, True),  # one chunk of one step, no remembered draw
         (3, "1/5", "1/5", 1, 6, True),  # step 1 alone, with a flip draw
         (1, "1/2", "1/2", 30_000, 16, True),  # long horizon: rejected draws are replayed
+        # the whole run is the first draw pass; then a one-step second pass; both end
+        # on a partial decode block
+        (2, "3/4", "1/5", CHUNK_STEPS + 1, 2 * _DECODE_BLOCK + 3, True),
+        (3, "2/5", "1/2", CHUNK_STEPS + 2, 2 * _DECODE_BLOCK + 3, False),
     ],
 )
 def test_matches_generator_lockstep_reference(d, p, q, n, replicas, track_cm):
@@ -60,7 +66,7 @@ def test_decoder_matches_numpy_where_half_the_draws_reject():
     # highs in [2^31, 2^32) reject up to half of all bounded draws, so most
     # replicas are replayed and their pending halves diverge; every decoded
     # value and pending half must equal numpy's own calls on the same substream
-    R, seed = 300, 77  # two decode blocks
+    R, seed = 2 * _DECODE_BLOCK + 44, 77  # two full decode blocks and a partial one
     rng = np.random.default_rng(5)
     keys = replica_keys(seed, np.arange(R))
     bitgens = [replica_generator(seed, r, key).bit_generator for r, key in enumerate(keys)]
@@ -84,6 +90,26 @@ def test_decoder_matches_numpy_where_half_the_draws_reject():
             np.testing.assert_array_equal(mine["state"]["counter"], state["state"]["counter"])
         if call == 0:
             assert 0 < np.count_nonzero(held >= 0) < R  # both pending groups occur next
+
+
+@pytest.mark.parametrize("n, passes", [
+    (CHUNK_STEPS + 1, [(1, CHUNK_STEPS + 1)]),
+    (2 * CHUNK_STEPS + 1, [(1, CHUNK_STEPS + 1), (CHUNK_STEPS + 2, 2 * CHUNK_STEPS + 1)]),
+    (2 * CHUNK_STEPS + 2, [(1, CHUNK_STEPS + 1), (CHUNK_STEPS + 2, 2 * CHUNK_STEPS + 1),
+                           (2 * CHUNK_STEPS + 2, 2 * CHUNK_STEPS + 2)]),
+])
+def test_draw_chunks_0_and_1_are_one_pass(monkeypatch, n, passes):
+    # one _draw_chunk call, and so one random_raw call per replica, per pass
+    calls = []
+    real = merw.ensemble._draw_chunk
+
+    def counting(bitgens, held, step_lo, step_hi, *args):
+        calls.append((step_lo, step_hi))
+        return real(bitgens, held, step_lo, step_hi, *args)
+
+    monkeypatch.setattr(merw.ensemble, "_draw_chunk", counting)
+    simulate_replicas(ModelParams(2, "1/2"), n, [n], 1, 3)
+    assert calls == passes
 
 
 @pytest.mark.parametrize("seed", [0, 123, 2**32, 2**40 + 7, 2**64 - 1])

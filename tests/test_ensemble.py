@@ -306,6 +306,10 @@ def test_cross_moments_are_exact(positions):
     cross = _cross_moments(positions)
     assert cross.dtype == np.float64 and cross.shape == (T, T, d, d)
     assert np.array_equal(cross, _python_cross_moments(positions))
+    # the same bytes from a replica-major and an axis-major array
+    axis_major = np.ascontiguousarray(positions.transpose(1, 2, 0)).transpose(2, 0, 1)
+    for layout in (np.ascontiguousarray(positions), axis_major):
+        assert _cross_moments(layout).tobytes() == cross.tobytes()
 
 
 def test_summary_standard_errors():

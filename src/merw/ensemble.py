@@ -10,7 +10,9 @@ the remembered colour is the number of rows at or below the remembered
 draw, and the new colour adds one to every row at or above it.  Step 1 is
 the kernel's step that remembers colour 0 and repeats it with probability q.
 Positions are formed only at snapshot times, and the centre of mass from the
-CDF's running sum.
+CDF's running sum, both projected in place: the colour counts are written
+into one (2d, R) array, and their pairwise differences straight into the
+snapshot's (d, R) slot.
 
 Replica r draws from its own Philox substream keyed by (master_seed, r), so
 results do not depend on how work is batched and rerunning a configuration
@@ -22,6 +24,8 @@ are hashed per replica, over uint32 arrays.  Each replica still gets its own
 Philox, built by ``replica_generator`` from its key, because its words are
 read one ``random_raw`` call per replica and draw pass, with a replica's
 pending 32-bit half carried inside its generator from one call to the next.
+A build hands Philox the key row and numpy's zero counter as ready arrays,
+so it costs little more than numpy's own object set-up.
 Draw chunk 0 is step 1 alone, and each later chunk up to ``CHUNK_STEPS``
 steps; the first pass reads chunks 0 and 1, each later pass one chunk, and
 as a replica's words are sequential in one stream no draw changes step.  A
@@ -73,6 +77,10 @@ _DECODE_BLOCK = 128
 
 _TWO32 = np.uint64(2**32)
 
+#: Philox's default counter, as the uint64[4] array numpy would otherwise build per call.
+_ZERO_COUNTER = np.zeros(4, dtype=np.uint64)
+_ZERO_COUNTER.flags.writeable = False
+
 
 def replica_generator(master_seed: int, replica: int, key: np.ndarray | None = None
                       ) -> np.random.Generator:
@@ -81,13 +89,15 @@ def replica_generator(master_seed: int, replica: int, key: np.ndarray | None = N
     The key is the state of ``np.random.SeedSequence(master_seed,
     spawn_key=(replica,))``.  A caller that holds it already, as a row of
     :func:`replica_keys`, passes it as ``key``, and no ``SeedSequence`` is
-    built.
+    built.  The counter, numpy's default zero, is passed as one shared
+    uint64[4] array (Philox copies it), which spares numpy converting a
+    scalar 0 on every build.
     """
     if key is None:
         seed = np.random.SeedSequence(master_seed, spawn_key=(replica,))
     else:
         seed = _key_seed_type()(key)
-    return np.random.Generator(np.random.Philox(seed))
+    return np.random.Generator(np.random.Philox(seed, counter=_ZERO_COUNTER))
 
 
 # the constants of numpy's SeedSequence hash (O'Neill's seed_seq_fe)
@@ -162,11 +172,13 @@ def _key_seed_type() -> type:
     from numpy.random.bit_generator import ISeedSequence
 
     class KeySeed(ISeedSequence):
+        __slots__ = ("key",)
+
         def __init__(self, key: np.ndarray):
             self.key = key
 
         def generate_state(self, n_words, dtype=np.uint32):
-            if n_words != 2 or np.dtype(dtype) != np.uint64:
+            if n_words != 2 or (dtype is not np.uint64 and np.dtype(dtype) != np.uint64):
                 raise ValueError(
                     f"a replica key is 2 uint64 words, not {n_words} words of {np.dtype(dtype)}"
                 )
@@ -448,12 +460,17 @@ def _draw_chunk(bitgens, held, step_lo, step_hi, m_buf, rep_buf, j_buf, params):
     return width
 
 
-def _positions(cdf: np.ndarray, total: int) -> np.ndarray:
-    """(R, d) positions from (2d-1, R) colour CDF rows whose colour counts sum to ``total``."""
-    edges = np.zeros((cdf.shape[0] + 2, cdf.shape[1]), dtype=np.int64)
-    edges[1:-1] = cdf
-    edges[-1] = total
-    return project_counts(np.diff(edges, axis=0).T)
+def _project(cdf: np.ndarray, total: int, out: np.ndarray) -> np.ndarray:
+    """Project (2d-1, R) colour CDF rows, whose counts sum to ``total``, into (d, R) ``out``.
+
+    Returns out.T.  The counts array is made per call, not kept: kept, it
+    would live through the draw passes, where a run's memory peaks.
+    """
+    counts = np.empty((len(cdf) + 1, cdf.shape[1]), dtype=np.int64)
+    counts[0] = cdf[0]
+    np.subtract(cdf[1:], cdf[:-1], out=counts[1:-1])
+    np.subtract(total, cdf[-1], out=counts[-1])
+    return project_counts(counts.T, out=out.T)
 
 
 def simulate_replicas(
@@ -527,10 +544,10 @@ def simulate_replicas(
                 cm += cdf
             t = step + k
             if t in time_slot:
-                out[time_slot[t]] = _positions(cdf, t).T
+                _project(cdf, t, out[time_slot[t]])
         step = hi + 1
     if cm is not None:
-        cm = _positions(cm, n * (n + 1) // 2)
+        cm = _project(cm, n * (n + 1) // 2, np.empty((d, R), dtype=np.int64))
     return out.transpose(2, 0, 1), cm
 
 

@@ -22,7 +22,8 @@ pairs; elementwise float64 arithmetic gives the same bytes as one check at a
 time.  Superdiffusive checks use ratio statistics so that nothing needs to be
 known about the law of the non-Gaussian limit.  The SLLN and superdiffusive
 batteries share one ladder statistic, whose ratios leave out a ladder median
-of 0, so every report is finite.
+of 0, and a superdiffusive second-moment ratio over a final second moment of
+0 reads 0 and fails its gate, so every report is finite.
 
 ``BATTERIES`` is the one registry of the batteries: each entry names its
 runner, the regime it applies to, its default shape and grid, and the
@@ -35,7 +36,8 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from itertools import repeat
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -64,9 +66,12 @@ NONDEGENERATE_EPSILON = 0.05
 SLLN_MIN_FRACTION = 0.99
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    """One gated comparison inside a verification battery."""
+class CheckResult(NamedTuple):
+    """One gated comparison inside a verification battery.
+
+    An immutable named tuple, so that a battery's thousands of records are
+    built in C: derive a changed record with ``_replace``.
+    """
 
     name: str
     observed: float
@@ -78,16 +83,7 @@ class CheckResult:
     note: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "observed": self.observed,
-            "expected": self.expected,
-            "tolerance": self.tolerance,
-            "z": self.z,
-            "passed": self.passed,
-            "gating": self.gating,
-            "note": self.note,
-        }
+        return self._asdict()
 
 
 @dataclass
@@ -160,12 +156,12 @@ def _checks(names, expected, observed, se, rel_floor=0.0, gating=True,
     defined = se > 0
     z = np.divide(diff, se, out=np.zeros_like(diff), where=defined)
     passed = np.abs(diff) <= tol
-    return [
-        CheckResult(name, o, e, t, z_k if ok else None, p, gating, note)
-        for name, o, e, t, z_k, ok, p in zip(
-            names, observed.tolist(), expected.tolist(), tol.tolist(), z.tolist(),
-            defined.tolist(), passed.tolist(), strict=True)
-    ]
+    k = len(names)
+    # tuple.__new__ builds each record in C; the strict zip gives every one its eight fields
+    return list(map(tuple.__new__, repeat(CheckResult), zip(
+        names, observed.tolist(), expected.tolist(), tol.tolist(),
+        np.where(defined, z, None).tolist(), passed.tolist(), repeat(gating, k), repeat(note, k),
+        strict=True)))
 
 
 def _variance_se(v_emp, replicas: int):
@@ -400,32 +396,29 @@ def verify_superdiffusive(cfg: EnsembleConfig) -> VerificationReport:
     sq = np.einsum("rtd,rtd->rt", pos, pos)  # |S_{n_k}|^2 per replica
     base = sq[:, -1]
     base_mean = base.mean()
+    # where every replica ends at the origin there is no ratio: it reads 0 and fails its gate
+    no_ratio = "" if base_mean else "; m2(1) is 0, so there is no ratio"
     for col, t_label in enumerate(cfg.snapshot_fractions[:-1]):
         t_eff = times[col] / times[-1]
         expected = t_eff ** (2 * alpha)
         a = sq[:, col]
-        r = a.mean() / base_mean
-        var_r = (
-            a.var(ddof=1) - 2 * r * np.cov(a, base, ddof=1)[0, 1] + r * r * base.var(ddof=1)
-        ) / base_mean**2
-        se = math.sqrt(max(var_r, 0.0) / R)
+        r = se = 0.0
+        if base_mean:
+            r = a.mean() / base_mean
+            var_r = (
+                a.var(ddof=1) - 2 * r * np.cov(a, base, ddof=1)[0, 1] + r * r * base.var(ddof=1)
+            ) / base_mean**2
+            se = math.sqrt(max(var_r, 0.0) / R)
         checks += _checks(
             [f"second_moment_ratio[t={t_label}]"], expected, r, se, REL_FLOOR_SUPERDIFFUSIVE,
-            note="m2(t)/m2(1): the unknown limit moment cancels")
+            note="m2(t)/m2(1): the unknown limit moment cancels" + no_ratio)
 
     # (iii) non-degeneracy of the limit
     final_norm = np.linalg.norm(z[:, -1, :], axis=1)
     frac = float(np.mean(final_norm > NONDEGENERATE_EPSILON))
     checks.append(CheckResult(
-        name=f"nondegenerate_fraction[|Z| > {NONDEGENERATE_EPSILON}]",
-        observed=frac,
-        expected=0.5,
-        tolerance=None,
-        z=None,
-        passed=bool(frac > 0.5),
-        gating=True,
-        note="expected is a strict lower bound for the passing fraction",
-    ))
+        f"nondegenerate_fraction[|Z| > {NONDEGENERATE_EPSILON}]", frac, 0.5,
+        passed=bool(frac > 0.5), note="expected is a strict lower bound for the passing fraction"))
     extras = {
         "ladder_times": [int(t) for t in summary.times],
         "increment_medians": [float(m) for m in medians],
@@ -456,28 +449,16 @@ def verify_slln(cfg: EnsembleConfig, eps: float = 0.01) -> VerificationReport:
         for k, observed in enumerate(ratios):
             expected = (times[k + 1] / times[k]) ** (report.alpha - 1.0)
             checks.append(CheckResult(
-                name=f"ladder_decay_ratio[{int(times[k])}->{int(times[k + 1])}]",
-                observed=float(observed),
-                expected=float(expected),
-                tolerance=float(expected),  # within a factor of two
-                z=None,
+                f"ladder_decay_ratio[{int(times[k])}->{int(times[k + 1])}]", float(observed),
+                float(expected), float(expected),  # tolerance: within a factor of two
                 passed=bool(expected / 2.0 < observed < expected * 2.0),
-                gating=True,
                 note="median ratio must fall within a factor 2 of the predicted decay"
-                + ("" if medians[k] else "; the earlier median is 0, so there is no ratio"),
-            ))
+                + ("" if medians[k] else "; the earlier median is 0, so there is no ratio")))
     else:
         frac = float(np.mean(scaled[:, -1] < eps))
         checks.append(CheckResult(
-            name=f"final_fraction[|S_n/n| < {eps}]",
-            observed=frac,
-            expected=SLLN_MIN_FRACTION,
-            tolerance=None,
-            z=None,
-            passed=bool(frac >= SLLN_MIN_FRACTION),
-            gating=True,
-            note="expected is the minimum passing fraction",
-        ))
+            f"final_fraction[|S_n/n| < {eps}]", frac, SLLN_MIN_FRACTION,
+            passed=bool(frac >= SLLN_MIN_FRACTION), note="expected is the minimum passing fraction"))
     extras = {
         "ladder_times": [int(t) for t in summary.times],
         "medians": [float(m) for m in medians],

@@ -61,16 +61,17 @@ def added_colour_distribution_exact(
     return [p * Fraction(c, n) + off * Fraction(n - c, n) for c in counts]
 
 
-def project_counts(counts: np.ndarray) -> np.ndarray:
+def project_counts(counts: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Pairwise difference map from colour counts to the walk position.
 
     Component k of the result is counts[2k] - counts[2k+1]; works on a
     single count vector or on a batch with colours along the last axis.
+    With ``out``, the positions are written into it and it is returned.
     """
     counts = np.asarray(counts)
     if counts.shape[-1] % 2 != 0:
         raise ParameterError(f"count vector length must be even, got {counts.shape[-1]}")
-    return counts[..., 0::2] - counts[..., 1::2]
+    return np.subtract(counts[..., 0::2], counts[..., 1::2], out=out)
 
 
 def pairing_matrix(d: int) -> np.ndarray:

@@ -535,6 +535,22 @@ def test_verify_writes_strict_json_where_a_ladder_median_is_zero(capsys, tmp_pat
     validate_record(record, "verify.schema.json")
 
 
+def test_verify_writes_strict_json_where_every_replica_ends_at_the_origin(capsys, tmp_path):
+    out = tmp_path / "r.json"
+    code, printed, _ = run_cli(capsys, "verify", "superdiffusive", "-d", "1", "-p", "9/10",
+                               "-n", "4", "--replicas", "2", "--fractions", "0.25,0.5,1.0",
+                               "--seed", "40", "--out", str(out))
+    assert code == 1
+    assert "inf" not in printed and "nan" not in printed
+
+    def refuse(constant):
+        raise ValueError(f"non-finite JSON constant {constant}")
+
+    record = json.loads(out.read_text(), parse_constant=refuse)
+    validate_record(record, "verify.schema.json")
+    assert record["results"]["passed"] is False
+
+
 def test_verify_statistical_failure_exits_1(capsys):
     # at n = 2000 the finite-size bias plus this seed's noise pushes one
     # variance outside its gate: a deterministic statistical failure

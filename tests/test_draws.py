@@ -20,6 +20,7 @@ import merw
 import merw.ensemble
 from merw.ensemble import (
     _DECODE_BLOCK,
+    _ZERO_COUNTER,
     CHUNK_STEPS,
     _decoded_blocks,
     _key_seed_type,
@@ -48,8 +49,21 @@ from tests._oracles import lockstep_replicas
     ],
 )
 def test_matches_generator_lockstep_reference(d, p, q, n, replicas, track_cm):
+    assert_matches_lockstep(d, p, q, n, replicas, track_cm, sorted({1, (n + 1) // 2, n}))
+
+
+@pytest.mark.parametrize("d, p, q, n, replicas", [
+    (1, "3/4", "1/2", 40, 9),
+    (2, "1/2", "7/10", 41, _DECODE_BLOCK + 5),
+    (3, "3/10", "1/5", 39, 10),
+])
+def test_matches_generator_lockstep_reference_at_every_step(d, p, q, n, replicas):
+    # a snapshot at every t projects the CDF rows at every step, t = 1 included
+    assert_matches_lockstep(d, p, q, n, replicas, True, range(1, n + 1))
+
+
+def assert_matches_lockstep(d, p, q, n, replicas, track_cm, times):
     params = ModelParams(d, p, q)
-    times = sorted({1, (n + 1) // 2, n})
     seed = 1000 + n
     expected = lockstep_replicas(
         d, params.p, params.q, n, times, seed, replicas, track_cm, chunk_steps=CHUNK_STEPS
@@ -128,6 +142,22 @@ def test_replica_keys_refuse_bad_input():
     for seed, replicas in ((-1, [0]), (2**64, [0]), (1, [-1]), (1, [[0]]), (1, [0.5])):
         with pytest.raises(ParameterError):
             replica_keys(seed, replicas)
+
+
+@pytest.mark.parametrize("replica", [0, 1, 2**32])
+def test_substream_state_equals_seed_sequence_philox(replica):
+    # counter, key, buffer and pending half: the whole Philox state, before any draw
+    seed = 2024
+    key = replica_keys(seed, np.array([replica], dtype=np.uint64))[0]
+    want = np.random.Philox(np.random.SeedSequence(seed, spawn_key=(replica,))).state
+    for gen in (replica_generator(seed, replica, key), replica_generator(seed, replica)):
+        got = gen.bit_generator.state
+        for field in ("counter", "key"):
+            np.testing.assert_array_equal(got["state"][field], want["state"][field])
+        for field in ("buffer_pos", "has_uint32", "uinteger"):
+            assert got[field] == want[field]
+        gen.bit_generator.random_raw(3)
+    np.testing.assert_array_equal(_ZERO_COUNTER, np.zeros(4, dtype=np.uint64))
 
 
 def test_key_seed_hands_philox_its_key_and_nothing_else():

@@ -1,4 +1,4 @@
-"""Golden digests of sampled paths and of fourteen battery reports: the alarm for
+"""Golden digests of sampled paths and of fifteen battery reports: the alarm for
 kernel, check or numpy stream drift.
 
 Each case pins the SHA-256 of ``simulate_replicas`` positions (and of the
@@ -96,13 +96,18 @@ REPORT_CASES = [
      (0.125, 0.25, 0.5, 1.0), 2034, 100),
     ("cm-d2", "cm", (2, "1/2", "1/2"), 400, (1.0,), 2035, 300),
     ("cm-d3", "cm", (3, "3/10", "3/5"), 400, (1.0,), 2036, 300),
+    # the `grid` benchmark shape: 10 400 checks over 100 snapshots of 10^4 replicas
+    ("clt-d2-grid-10k", "clt", (2, "1/2", "1/2"), 200, tuple(k / 100 for k in range(1, 101)),
+     2037, 10_000),
 ]
 
 #: SHA-256 of json.dumps(report.canonical_dict(), sort_keys=True), pinned before the
 #: CLT and critical batteries shared one check body (the q != 1/2 cases before the
 #: first-step law moved to ``urn.first_colour_law``, the check-layout cases before the
 #: check body was evaluated as arrays, the ladder and centre-of-mass cases before those
-#: batteries shared the ladder statistic and the array gate); same numpy caveat as above.
+#: batteries shared the ladder statistic and the array gate, the `grid` shape before check
+#: records became named tuples and snapshots were projected in place); same numpy caveat
+#: as above.
 GOLDEN_REPORTS = {
     "clt-d2": "a39af2d9308a905a25b87552c30ff5f13849dcf8fd2ed14c73ed8a8fa393b343",
     "critical-d2": "562b342d6aa9385e7be31312449af3c9c6c8d42d6a80c79608fe69807294436a",
@@ -118,6 +123,7 @@ GOLDEN_REPORTS = {
     "superdiffusive-d2-q": "fce56a232f6d2d5576da63a3265c4ff9a656e0334cfe8755e09cbe346a32ba87",
     "cm-d2": "5485ac2e7eb15fc6dbad7f20f941cd937017fe89323ab328b9e881095cf82c76",
     "cm-d3": "b0d36136c6de98e09b60a5dd4c96bb162b654fb2090ca37a6d42d60b06bf728e",
+    "clt-d2-grid-10k": "55ac2b58a3bf99d4d75971ac8452ba5535b4f244212411c177510349017b5abf",
 }
 
 

@@ -7,6 +7,7 @@ import pytest
 from merw.ensemble import EnsembleConfig
 from merw.montecarlo import (
     BATTERIES,
+    CheckResult,
     _median_ratios,
     verify_center_of_mass,
     verify_critical,
@@ -125,6 +126,22 @@ def test_slln_report_stays_finite_where_a_ladder_median_is_zero():
     assert check.observed == max(b / a for a, b in zip(report.extras["medians"][1:],
                                                        report.extras["medians"][2:]))
     assert "1 pair(s) with an earlier median of 0" in check.note
+    json.dumps(report.to_dict(), allow_nan=False)
+
+
+def test_superdiffusive_report_stays_finite_where_every_replica_ends_at_the_origin():
+    # both replicas end at S_4 = 0, so m2(1) is 0 and no second-moment ratio exists
+    cfg = BATTERIES["superdiffusive"].config(ModelParams(1, "9/10"), 40, n=4, replicas=2,
+                                             snapshot_fractions=(0.25, 0.5, 1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = verify_superdiffusive(cfg)
+    ratios = [c for c in report.checks if c.name.startswith("second_moment_ratio")]
+    assert len(ratios) == 2 and not report.passed
+    for check in ratios:
+        assert check.observed == 0.0 and check.z is None and not check.passed
+        assert check.tolerance == pytest.approx(0.1 * check.expected)
+        assert check.note.endswith("; m2(1) is 0, so there is no ratio")
     json.dumps(report.to_dict(), allow_nan=False)
 
 
@@ -321,6 +338,18 @@ def test_report_serializes_to_json():
     assert payload["params"]["q_exact"] == "7/10"
     assert isinstance(payload["checks"], list)
     assert all(isinstance(c["passed"], bool) for c in payload["checks"])
+
+
+def test_check_records_are_immutable_and_keep_their_key_order():
+    check = CheckResult("var[s=1, axis=0]", 1.5, 1.4, 0.2, 0.5, True)
+    with pytest.raises(AttributeError):
+        check.passed = False
+    assert list(check.to_dict()) == [
+        "name", "observed", "expected", "tolerance", "z", "passed", "gating", "note"]
+    assert check.to_dict() == {"name": "var[s=1, axis=0]", "observed": 1.5, "expected": 1.4,
+                               "tolerance": 0.2, "z": 0.5, "passed": True, "gating": True,
+                               "note": ""}
+    assert check._replace(passed=False).to_dict()["passed"] is False and check.passed
 
 
 def test_summary_lines_are_printable():

@@ -33,10 +33,10 @@ chunk takes exactly numpy's ``Generator`` calls ``integers(0, highs)``
 (highs = the step count before each step, from step 3 on), ``random(width)``
 and ``integers(0, 2d-1, size=width)``, read as raw Philox words and decoded
 in bulk by numpy's rules (Lemire's bounded integers on 32-bit halves,
-doubles from the top 53 bits) into step-major buffers; a replica whose chunk
-meets a rejected draw is replayed one draw at a time.  ``tests/test_golden.py``
-pins digests of the sampled paths, so drift in the kernel or in numpy's
-streams shows.
+doubles from the top 53 bits) into step-major buffers; a replica whose pass
+meets a rejected draw is rewound to the start of its pass and redrawn by
+numpy's own ``Generator``.  ``tests/test_golden.py`` pins digests of the
+sampled paths, so drift in the kernel or in numpy's streams shows.
 
 Position moments come from exact integer snapshot sums, so summaries are
 deterministic.  The replica cross-moments sum_r x[r,t,i] x[r,s,j] are one
@@ -316,7 +316,7 @@ def _decode(words, held, spans, segments, scratch):
     bounded segment those limits and a product and a compare buffer of at
     least G rows.  Returns one (G, len) array per segment (raw words, or the
     draws as uint32), the rows that met a rejection, whose values must be
-    replayed, and the pending halves after.
+    redrawn, and the pending halves after.
     """
     G = len(words)
     rejected = np.zeros(G, dtype=bool)
@@ -343,38 +343,29 @@ def _decode(words, held, spans, segments, scratch):
     return values, rejected, held
 
 
-def _replay(bitgen, words, held, segments):
-    """Decode one replica's segments one draw at a time, by the same rules.
+def _redraw(bitgen, total, held, segments):
+    """Draw one replica's pass again through numpy's own ``Generator``.
 
-    Starts from the words already fetched for it and takes further words
-    from its own stream once they run out; ``held`` is its pending half or
-    None.  Returns the values of each segment and the pending half after.
+    The replica's stream has just given the pass's ``total`` words, in which
+    the bulk decoder met a rejected draw; ``held`` is its pending half at the
+    start of the pass, or None.  Its Philox is rewound to that start and the
+    segments are drawn as numpy draws them: ``integers(0, highs)``, and the
+    raw words that ``random(width)`` reads.  Returns the values of each
+    segment and the pending half after.
     """
-    fetched = iter(words.tolist())
-
-    def word():
-        w = next(fetched, None)
-        return int(bitgen.random_raw()) if w is None else w
-
-    values = []
-    for seg in segments:
-        if isinstance(seg, int):
-            values.append([word() for _ in range(seg)])
-            continue
-        out = []
-        for h in seg.tolist():
-            threshold = ((1 << 32) - h) % h
-            while True:
-                if held is None:
-                    w = word()
-                    u, held = w & 0xFFFFFFFF, w >> 32
-                else:
-                    u, held = held, None
-                if (u * h) & 0xFFFFFFFF >= threshold:
-                    break
-            out.append((u * h) >> 32)
-        values.append(out)
-    return values, held
+    state = bitgen.state
+    counter = state["state"]["counter"]
+    # words read so far: the buffer's block is number counter[0] (from 1), buffer_pos of it read
+    start = 4 * int(counter[0]) + state["buffer_pos"] - 4 - total
+    counter[0] = start // 4  # the low word suffices: a run reads far fewer than 2^64 words
+    state.update(buffer_pos=4, has_uint32=int(held is not None), uinteger=held or 0)
+    bitgen.state = state
+    bitgen.random_raw(start % 4)
+    gen = np.random.Generator(bitgen)
+    values = [bitgen.random_raw(seg) if isinstance(seg, int)
+              else gen.integers(0, seg, dtype=np.uint64) for seg in segments]
+    state = bitgen.state
+    return values, state["uinteger"] if state["has_uint32"] else None
 
 
 def _decoded_blocks(bitgens, held, segments):
@@ -384,7 +375,8 @@ def _decoded_blocks(bitgens, held, segments):
     updated in place.  Each replica's words come from one ``random_raw`` call
     on its own stream, sized for no rejection; the replicas of a block are
     decoded together per pending flag, and a replica that met a rejection is
-    replayed by :func:`_replay`.  Yields (columns, values): the replicas as a
+    redrawn by numpy's ``Generator`` from the start of its pass
+    (:func:`_redraw`).  Yields (columns, values): the replicas as a
     slice or an index array, and one array per segment with a row for each.
     The values are views of buffers that the next block reuses.
     """
@@ -411,10 +403,10 @@ def _decoded_blocks(bitgens, held, segments):
             values, rejected, end = _decode(words, start, spans, segments, scratch)
             held[rows] = -1 if end is None else end
             for i in np.flatnonzero(rejected).tolist():
-                replayed, half = _replay(
-                    bitgens[rows[i]], words[i], int(start[i]) if pending else None, segments
+                redrawn, half = _redraw(
+                    bitgens[rows[i]], total, int(start[i]) if pending else None, segments
                 )
-                for out, part in zip(values, replayed):
+                for out, part in zip(values, redrawn):
                     out[i] = part
                 held[rows[i]] = -1 if half is None else half
             yield (slice(r0, r1) if rows.size == r1 - r0 else rows), values
@@ -562,7 +554,7 @@ def _cross_moments(positions: np.ndarray) -> np.ndarray:
     it is exact in int64 while R * max|x|^2 < 2^62, and rounded in float64.
     """
     R, T, d = positions.shape
-    peak = int(np.abs(positions).max()) if positions.size else 0
+    peak = max(int(positions.max()), -int(positions.min())) if positions.size else 0
     if R * peak * peak < 2**53:
         x = positions.transpose(1, 2, 0).reshape(T * d, R).astype(np.float64)
         return (x @ x.T).reshape(T, d, T, d).transpose(0, 2, 1, 3)

@@ -434,8 +434,11 @@ def verify_slln(cfg: EnsembleConfig, eps: float = 0.01) -> VerificationReport:
     ladder, and (below criticality, where the scale is known) at least
     ``SLLN_MIN_FRACTION`` of the replicas end below ``eps``.  Above criticality
     the decay rate is gated instead: adjacent median ratios must stay within
-    a factor two of the predicted (t'/t)^(alpha-1).
+    a factor two of the predicted (t'/t)^(alpha-1).  ``eps`` must be positive
+    and finite.
     """
+    if not 0.0 < eps < math.inf:  # nan or eps <= 0 always fails the gate, inf always passes
+        raise ParameterError(f"eps must be positive and finite, got {eps!r}")
     t0 = time.perf_counter()
     report = BATTERIES["slln"].check(cfg)
     summary = run_ensemble(cfg)

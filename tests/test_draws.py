@@ -41,15 +41,27 @@ from tests._oracles import lockstep_replicas
         (3, "3/10", "1/2", 1027, 10, True),  # chunks of 1024 and 2 steps
         (2, "9/10", "1/2", 2, 5, True),  # one chunk of one step, no remembered draw
         (3, "1/5", "1/5", 1, 6, True),  # step 1 alone, with a flip draw
-        (1, "1/2", "1/2", 30_000, 16, True),  # long horizon: rejected draws are replayed
+        # long horizons: rejected draws are redrawn, at d = 2 with their flip segments
+        (1, "1/2", "1/2", 30_000, 16, True),
+        (2, "1/2", "1/2", 40_000, 16, True),
         # the whole run is the first draw pass; then a one-step second pass; both end
         # on a partial decode block
         (2, "3/4", "1/5", CHUNK_STEPS + 1, 2 * _DECODE_BLOCK + 3, True),
         (3, "2/5", "1/2", CHUNK_STEPS + 2, 2 * _DECODE_BLOCK + 3, False),
     ],
 )
-def test_matches_generator_lockstep_reference(d, p, q, n, replicas, track_cm):
+def test_matches_generator_lockstep_reference(monkeypatch, d, p, q, n, replicas, track_cm):
+    redraws = []
+    real = merw.ensemble._redraw
+
+    def counting(*args):
+        redraws.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(merw.ensemble, "_redraw", counting)
     assert_matches_lockstep(d, p, q, n, replicas, track_cm, sorted({1, (n + 1) // 2, n}))
+    if n >= 30_000:  # the long-horizon rows meet rejected draws
+        assert redraws
 
 
 @pytest.mark.parametrize("d, p, q, n, replicas", [
@@ -76,23 +88,40 @@ def assert_matches_lockstep(d, p, q, n, replicas, track_cm, times):
         assert got[1] is None and expected[1] is None
 
 
-def test_decoder_matches_numpy_where_half_the_draws_reject():
+def test_decoder_matches_numpy_where_half_the_draws_reject(monkeypatch):
     # highs in [2^31, 2^32) reject up to half of all bounded draws, so most
-    # replicas are replayed and their pending halves diverge; every decoded
-    # value and pending half must equal numpy's own calls on the same substream
+    # replicas are redrawn by numpy's Generator from the start of their pass and
+    # their word offsets and pending halves diverge; every decoded value, Philox
+    # counter and pending half must equal numpy's own calls on the same substream,
+    # for redrawn passes that start at each word offset in a Philox block, with
+    # and without a held half
     R, seed = 2 * _DECODE_BLOCK + 44, 77  # two full decode blocks and a partial one
     rng = np.random.default_rng(5)
     keys = replica_keys(seed, np.arange(R))
     bitgens = [replica_generator(seed, r, key).bit_generator for r, key in enumerate(keys)]
     reference = [replica_generator(seed, r) for r in range(R)]
     held = np.full(R, -1, dtype=np.int64)
+    replica = {id(bitgen): r for r, bitgen in enumerate(bitgens)}
+    redrawn = []
+    real = merw.ensemble._redraw
+
+    def spying(bitgen, *args):
+        redrawn.append(replica[id(bitgen)])
+        return real(bitgen, *args)
+
+    monkeypatch.setattr(merw.ensemble, "_redraw", spying)
+    starts = set()
     for call, size in enumerate((5, 4, 7)):
+        # (word offset in its Philox block, held half) at the start of each replica's pass
+        start = [(_words_read(gen.bit_generator) % 4, h >= 0) for gen, h in zip(reference, held)]
+        redrawn.clear()
         highs = rng.integers(2**31, 2**32, size=size, dtype=np.uint64)
         segments = [highs, 2, np.full(3, 5, dtype=np.uint64)]
         got = [np.zeros((R, size), np.uint64), np.zeros((R, 2), np.uint64), np.zeros((R, 3), np.uint64)]
         for cols, values in _decoded_blocks(bitgens, held, segments):
             for out, part in zip(got, values):
                 out[cols] = part
+        starts.update(start[r] for r in redrawn)
         for r, gen in enumerate(reference):
             np.testing.assert_array_equal(got[0][r], gen.integers(0, highs.astype(np.int64)))
             np.testing.assert_array_equal((got[1][r] >> np.uint64(11)) * 2.0**-53, gen.random(2))
@@ -104,6 +133,13 @@ def test_decoder_matches_numpy_where_half_the_draws_reject():
             np.testing.assert_array_equal(mine["state"]["counter"], state["state"]["counter"])
         if call == 0:
             assert 0 < np.count_nonzero(held >= 0) < R  # both pending groups occur next
+    assert starts == {(offset, half) for offset in range(4) for half in (False, True)}
+
+
+def _words_read(bitgen):
+    # Philox's buffer holds block number counter[0] (from 1), buffer_pos words of it read
+    state = bitgen.state
+    return 4 * int(state["state"]["counter"][0]) + state["buffer_pos"] - 4
 
 
 @pytest.mark.parametrize("n, passes", [

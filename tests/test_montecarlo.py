@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from merw import montecarlo
 from merw.ensemble import EnsembleConfig
 from merw.montecarlo import (
     BATTERIES,
@@ -112,6 +113,15 @@ def test_slln_battery_superdiffusive_uses_decay_ratios():
     names = [c.name for c in report.checks]
     assert any("ladder_decay_ratio" in n for n in names)
     assert not any("final_fraction" in n for n in names)
+
+
+@pytest.mark.parametrize("eps", [float("nan"), 0.0, -1.0, float("inf")])
+def test_slln_refuses_an_eps_that_decides_the_gate(monkeypatch, eps):
+    # nan or eps <= 0 would fail every final-fraction gate, inf would pass every one
+    monkeypatch.setattr(montecarlo, "run_ensemble", None)  # refused before any simulation
+    cfg = BATTERIES["slln"].config(ModelParams(1, "1/2"), 1, n=1000, replicas=10)
+    with pytest.raises(ParameterError, match="eps"):
+        verify_slln(cfg, eps=eps)
 
 
 def test_slln_report_stays_finite_where_a_ladder_median_is_zero():

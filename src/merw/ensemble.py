@@ -4,11 +4,16 @@ Each replica is one path of the walk and of its 2d-colour urn: the colour
 counts are the per-direction step counts, and the position is their pairwise
 difference (``urn.project_counts``), so the two are one process, simulated
 once.  The kernel keeps per replica the colour CDF, cdf[c] = number of steps
-with colour <= c for c < 2d-1, as (2d-1, R) int32 rows and advances all
-replicas one step at a time with contiguous operations over those rows:
-the remembered colour is the number of rows at or below the remembered
-draw, and the new colour adds one to every row at or above it.  Step 1 is
-the kernel's step that remembers colour 0 and repeats it with probability q.
+with colour <= c for c < 2d-1, as (2d-1, R) rows (int16 while n < 2^15,
+else int32) and advances all replicas one step at a time with contiguous
+operations over those rows: the remembered colour is the number of rows at
+or below the remembered draw, and the new colour adds one to every row at or
+above it.  A step's draws reach the kernel as two step-major rows: the
+remembered draw m, in the CDF's type, and one int8 step code (int32 from 2d
+= 128 colours on), the flip draw j, or -1 where the step repeats; so a draw
+pass holds 3 bytes per replica-step while n < 2^15 and 2d < 128.  Step 1 is
+the kernel's step that remembers colour 0 (m = -1) and repeats it with
+probability q.
 Positions are formed only at snapshot times, and the centre of mass from the
 CDF's running sum, both projected in place: the colour counts are written
 into one (2d, R) array, and their pairwise differences straight into the
@@ -25,7 +30,9 @@ Philox, built by ``replica_generator`` from its key, because its words are
 read one ``random_raw`` call per replica and draw pass, with a replica's
 pending 32-bit half carried inside its generator from one call to the next.
 A build hands Philox the key row and numpy's zero counter as ready arrays,
-so it costs little more than numpy's own object set-up.
+so it costs little more than numpy's own object set-up.  A replica's
+generator is built when its decode block is first drawn and dropped once the
+last pass has drawn it, so a one-pass run holds one block's generators.
 Draw chunk 0 is step 1 alone, and each later chunk up to ``CHUNK_STEPS``
 steps; the first pass reads chunks 0 and 1, each later pass one chunk, and
 as a replica's words are sequential in one stream no draw changes step.  A
@@ -67,7 +74,7 @@ CHUNK_STEPS = 1024
 
 DEFAULT_STEP_BUDGET = 10**9
 
-#: Largest horizon: the CDF rows are int32, and numpy draws a bounded integer
+#: Largest horizon: the CDF rows are at most int32, and numpy draws a bounded integer
 #: with a 64-bit rule once its range reaches 2^32, which the decoder does not
 #: implement.
 MAX_STEPS = 2**31 - 1
@@ -368,7 +375,31 @@ def _redraw(bitgen, total, held, segments):
     return values, state["uinteger"] if state["has_uint32"] else None
 
 
-def _decoded_blocks(bitgens, held, segments):
+class _Substreams:
+    """The replicas' Philox bit generators, each built when its replica is first drawn.
+
+    Item r is replica r's, built by ``replica_generator`` from its row of
+    :func:`replica_keys` when first looked up; ``release(r0, r1)`` drops those
+    of replicas that no later pass draws from.
+    """
+
+    def __init__(self, master_seed: int, replicas: int):
+        self.master_seed = master_seed
+        self.keys = replica_keys(master_seed, np.arange(replicas))
+        self.bitgens = [None] * replicas
+
+    def __getitem__(self, r: int):
+        bitgen = self.bitgens[r]
+        if bitgen is None:
+            gen = replica_generator(self.master_seed, r, self.keys[r])
+            bitgen = self.bitgens[r] = gen.bit_generator
+        return bitgen
+
+    def release(self, r0: int, r1: int) -> None:
+        self.bitgens[r0:r1] = [None] * (r1 - r0)
+
+
+def _decoded_blocks(bitgens, held, segments, last=False):
     """Draw the segments for every replica, a block of replicas at a time.
 
     ``held`` (R,) int64 holds each replica's pending half, -1 for none, and is
@@ -378,10 +409,12 @@ def _decoded_blocks(bitgens, held, segments):
     redrawn by numpy's ``Generator`` from the start of its pass
     (:func:`_redraw`).  Yields (columns, values): the replicas as a
     slice or an index array, and one array per segment with a row for each.
-    The values are views of buffers that the next block reuses.
+    The values are views of buffers that the next block reuses.  When
+    ``last``, no later pass draws from ``bitgens`` (a :class:`_Substreams`),
+    and each block's streams are released once it is drawn.
     """
     plans = {pending: _plan(segments, pending) for pending in (0, 1)}
-    R = len(bitgens)
+    R = len(held)
     block = min(R, _DECODE_BLOCK)
     word_buf = np.empty((block, max(total for _, total in plans.values())), dtype=np.uint64)
     scratch = [None if isinstance(seg, int) else (((_TWO32 - seg) % seg).astype(np.uint32),
@@ -410,20 +443,24 @@ def _decoded_blocks(bitgens, held, segments):
                     out[i] = part
                 held[rows[i]] = -1 if half is None else half
             yield (slice(r0, r1) if rows.size == r1 - r0 else rows), values
+        if last:
+            bitgens.release(r0, r1)
 
 
-def _draw_chunk(bitgens, held, step_lo, step_hi, m_buf, rep_buf, j_buf, params):
+def _draw_chunk(bitgens, held, step_lo, step_hi, m_buf, code_buf, params, last):
     """Draw steps [step_lo, step_hi] into the step-major buffers (row k = step step_lo + k).
 
     The steps are one draw chunk, or from step_lo = 1 chunk 0 (step 1, which
     repeats colour 0 with probability q) and chunk 1, all read from one
-    ``random_raw`` call per replica.  Per chunk and replica the draws are
-    numpy's ``integers(0, highs)`` with highs the step count before each
-    step, ``random(width)`` and ``integers(0, 2d-1, size=width)``, in that
-    order: ``m_buf`` gets the remembered draws, ``rep_buf`` 1 where the
-    uniform's raw word is below the chunk's repeat bound (for q or p), else
-    0, and ``j_buf`` the flip draws (left as they are at d = 1, where they
-    are all 0).
+    ``random_raw`` call per replica (``last`` when no later pass follows).
+    Per chunk and replica the draws are numpy's ``integers(0, highs)`` with
+    highs the step count before each step, ``random(width)`` and
+    ``integers(0, 2d-1, size=width)``, in that order: ``m_buf`` gets the
+    remembered draws and ``code_buf`` each step's code, -1 where the
+    uniform's raw word is below the chunk's repeat bound (for q or p) and the
+    step repeats, else the flip draw j (0 at d = 1, where numpy draws none).
+    The code is formed while replica-major, as j | -repeat on the unsigned
+    view of the block, and moved step-major in one transposed copy.
     """
     twod = params.n_colours
     chunks = [(step_lo, step_hi, _below(params.p))]
@@ -440,15 +477,21 @@ def _draw_chunk(bitgens, held, step_lo, step_hi, m_buf, rep_buf, j_buf, params):
         flips = np.full(width if twod > 2 else 0, twod - 1, dtype=np.uint64)
         segments += [highs, width, flips]
     width = step_hi - step_lo + 1
-    below = np.empty((min(len(bitgens), _DECODE_BLOCK), width), dtype=bool)
-    for cols, values in _decoded_blocks(bitgens, held, segments):
+    block = min(len(held), _DECODE_BLOCK)
+    repeats = np.empty((block, width), dtype=bool)
+    codes = np.empty((block, width), dtype=code_buf.dtype)
+    bits = codes.view(f"u{codes.itemsize}")
+    for cols, values in _decoded_blocks(bitgens, held, segments, last):
+        G = len(values[1])
         for (lo, hi, bound), m, raw, j in zip(chunks, values[0::3], values[1::3], values[2::3]):
             rows = slice(lo - step_lo, hi - step_lo + 1)
             m_buf[rows.stop - m.shape[1]:rows.stop, cols] = m.T
-            # compare while replica-major, then move the 1-byte result step-major
-            rep_buf[rows, cols] = np.less(raw, bound, out=below[:len(raw), rows]).T
+            code = bits[:G, rows]
+            repeat = np.less(raw, bound, out=repeats[:G, rows]).view(np.uint8)
+            np.negative(repeat, dtype=code.dtype, out=code)
             if twod > 2:
-                j_buf[rows, cols] = j.T
+                np.bitwise_or(code, j, out=code, casting="unsafe")
+        code_buf[:width, cols] = codes[:G].T
     return width
 
 
@@ -486,10 +529,12 @@ def simulate_replicas(
     remembers colour 0 and repeats it with probability q, and is read with
     draw chunk 1 in one ``random_raw`` call per replica.  A replica's state
     is its colour CDF, cdf[c] = number of steps with colour <= c for c <
-    2d-1, kept as (2d-1, R) rows: the remembered colour is the number of
-    rows at or below the remembered draw m, and a step of colour x adds one
-    to every row c >= x.  Positions are read off the CDF only at snapshot
-    times, and the centre of mass from the CDF's running sum.
+    2d-1, kept as (2d-1, R) rows, int16 while n < 2^15 and int32 from there:
+    the remembered colour r is the number of rows at or below the remembered
+    draw m, the step code s (the flip draw, or -1 for a repeat) gives the
+    colour x = s + (s >= r), or r where s is -1, and a step of colour x adds
+    one to every row c >= x.  Positions are read off the CDF only at
+    snapshot times, and the centre of mass from the CDF's running sum.
     """
     d = params.d
     twod = params.n_colours
@@ -498,37 +543,43 @@ def simulate_replicas(
     master_seed = check_integer("master_seed", master_seed, 0, 2**64 - 1)
     times = sorted({check_integer("snapshot times", t, 1, n) for t in snapshot_times})
     time_slot = {t: i for i, t in enumerate(times)}
-    keys = replica_keys(master_seed, np.arange(R))
-    bitgens = [replica_generator(master_seed, r, key).bit_generator for r, key in enumerate(keys)]
+    bitgens = _Substreams(master_seed, R)
     held = np.full(R, -1, dtype=np.int64)
 
     colour = np.int8 if twod <= 127 else np.int32
+    # draws stay below n and CDF rows at most n; signed, as m = -1 marks step 1
+    index = np.int16 if n < 2**15 else np.int32
     out = np.zeros((len(times), d, R), dtype=np.int64)
     chunk = min(CHUNK_STEPS + 1, n)
-    m_buf = np.empty((chunk, R), dtype=np.int32)
-    rep_buf = np.empty((chunk, R), dtype=colour)
-    j_buf = np.zeros((chunk, R), dtype=colour)
+    m_buf = np.empty((chunk, R), dtype=index)
+    code_buf = np.empty((chunk, R), dtype=colour)
     at_or_below = np.empty((twod - 1, R), dtype=bool)
     remembered = np.empty(R, dtype=colour)
     nxt = np.empty(R, dtype=colour)
+    repeat = np.empty(R, dtype=colour)
+    # int8 rows take the compare's 0/1 bytes as they are, sparing a cast per step
+    up = nxt.view(bool) if colour == np.int8 else nxt
+    # as a 0-d array of the row type, the shift count is not converted per step
+    sign_bit = np.array(np.iinfo(colour).bits - 1, dtype=colour)
     rows_c = np.arange(twod - 1, dtype=colour)[:, None]
-    cdf = np.zeros((twod - 1, R), dtype=np.int32)
+    cdf = np.zeros((twod - 1, R), dtype=index)
     cm = np.zeros((twod - 1, R), dtype=np.int64) if track_center_of_mass else None
     step = 1
     while step <= n:
         # the first pass draws chunk 0 (step 1 alone) and chunk 1 together
         hi = min(n, step + CHUNK_STEPS - (step > 1))
-        width = _draw_chunk(bitgens, held, step, hi, m_buf, rep_buf, j_buf, params)
+        width = _draw_chunk(bitgens, held, step, hi, m_buf, code_buf, params, hi == n)
         for k in range(width):
             # remembered colour: the number of CDF rows at or below m
             np.greater_equal(m_buf[k], cdf, out=at_or_below)
             np.sum(at_or_below, axis=0, dtype=colour, out=remembered)
-            # flip target j + (j >= remembered), then remembered where the step repeats
-            j = j_buf[k]
-            np.greater_equal(j, remembered, out=nxt)
-            nxt += j
+            # flip target c + (c >= remembered), then remembered where the code c is -1
+            c = code_buf[k]
+            np.greater_equal(c, remembered, out=up)
+            nxt += c
+            np.right_shift(c, sign_bit, out=repeat)
             remembered ^= nxt
-            remembered *= rep_buf[k]
+            remembered &= repeat
             nxt ^= remembered
             np.less_equal(nxt, rows_c, out=at_or_below)
             cdf += at_or_below

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from merw import cli
 from merw.cli import main
-from merw.ensemble import simulate_replicas
+from merw.ensemble import CHUNK_STEPS, simulate_replicas
 from merw.params import ModelParams
 
 
@@ -380,16 +380,36 @@ def child(*argv, **kwargs):
                             stderr=subprocess.PIPE, text=True, **kwargs)
 
 
+def peak_mib(*argv):
+    proc = child(*argv)
+    _, err = proc.communicate()
+    assert proc.returncode == 0, err
+    return int(err.split("peak_kib")[-1]) / 1024
+
+
 def test_simulate_json_peak_memory_stays_near_csv(tmp_path):
-    peaks = {}
-    for fmt in ("csv", "json"):
-        proc = child("simulate", "-d", "2", "-p", "1/2", "-n", "100", "--replicas", "10000",
-                     "--fractions", ",".join(f"0.{k}" for k in range(1, 10)) + ",1.0",
-                     "--seed", "4", "--format", fmt, "--out", str(tmp_path / f"rows.{fmt}"))
-        _, err = proc.communicate()
-        assert proc.returncode == 0, err
-        peaks[fmt] = int(err.split("peak_kib")[-1]) / 1024
+    peaks = {
+        fmt: peak_mib("simulate", "-d", "2", "-p", "1/2", "-n", "100", "--replicas", "10000",
+                      "--fractions", ",".join(f"0.{k}" for k in range(1, 10)) + ",1.0",
+                      "--seed", "4", "--format", fmt, "--out", str(tmp_path / f"rows.{fmt}"))
+        for fmt in ("csv", "json")
+    }
     assert peaks["json"] - peaks["csv"] <= 20, peaks
+
+
+def test_simulate_peak_memory_is_its_draw_pass_and_snapshots(tmp_path):
+    # a run of one draw pass holds that pass at 3 B per replica-step (an int16
+    # remembered draw and an int8 step code) and the (T, d, R) int64 snapshot store;
+    # 6 MiB of slack covers a decode block's buffers, one projection and the row
+    # writer. Measured above a one-step, two-replica run, which pays the same imports
+    d, n, R, T = 2, 500, 10_000, 100
+    base = peak_mib("simulate", "-d", str(d), "-p", "3/4", "-n", "1", "--replicas", "2",
+                    "--seed", "1", "--out", str(tmp_path / "base.csv"))
+    peak = peak_mib("simulate", "-d", str(d), "-p", "3/4", "-n", str(n), "--replicas", str(R),
+                    "--fractions", ",".join(str(k / T) for k in range(1, T + 1)),
+                    "--seed", "1", "--out", str(tmp_path / "rows.csv"))
+    bound = (3 * min(CHUNK_STEPS + 1, n) * R + 8 * T * d * R) / 2**20 + 6
+    assert peak - base <= bound, (peak - base, bound)
 
 
 def test_simulate_into_a_closed_pipe_exits_141_without_a_traceback():

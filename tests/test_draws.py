@@ -32,6 +32,8 @@ from merw.params import ModelParams, ParameterError
 
 from tests._oracles import lockstep_replicas
 
+ALMOST_ONE = f"{2**40 - 1}/{2**40}"
+
 
 @pytest.mark.parametrize(
     "d, p, q, n, replicas, track_cm",
@@ -48,6 +50,14 @@ from tests._oracles import lockstep_replicas
         # on a partial decode block
         (2, "3/4", "1/5", CHUNK_STEPS + 1, 2 * _DECODE_BLOCK + 3, True),
         (3, "2/5", "1/2", CHUNK_STEPS + 2, 2 * _DECODE_BLOCK + 3, False),
+        # from 2d = 128 colours on, int32 colour rows and step codes; at d = 100 a third
+        # of the flip draws reach 128, where an int8 sign shift would read them as repeats
+        (64, "1/2", "1/2", 40, 5, True),
+        (100, "1/3", "1/2", 40, 5, False),
+        # one on each side of the switch from int16 to int32 draw and CDF rows: with p and
+        # q at 1 - 2^-40 every step takes colour 0, so CDF row 0 reaches n
+        (1, ALMOST_ONE, ALMOST_ONE, 2**15 - 1, 3, True),
+        (1, ALMOST_ONE, ALMOST_ONE, 2**15, 3, True),
     ],
 )
 def test_matches_generator_lockstep_reference(monkeypatch, d, p, q, n, replicas, track_cm):
@@ -60,7 +70,7 @@ def test_matches_generator_lockstep_reference(monkeypatch, d, p, q, n, replicas,
 
     monkeypatch.setattr(merw.ensemble, "_redraw", counting)
     assert_matches_lockstep(d, p, q, n, replicas, track_cm, sorted({1, (n + 1) // 2, n}))
-    if n >= 30_000:  # the long-horizon rows meet rejected draws
+    if n >= 30_000 and replicas >= 16:  # the 16-replica long-horizon rows meet rejected draws
         assert redraws
 
 

@@ -5,15 +5,15 @@ counts are the per-direction step counts, and the position is their pairwise
 difference (``urn.project_counts``), so the two are one process, simulated
 once.  The kernel keeps per replica the colour CDF, cdf[c] = number of steps
 with colour <= c for c < 2d-1, as (2d-1, R) rows (int16 while n < 2^15,
-else int32) and advances all replicas one step at a time with contiguous
-operations over those rows: the remembered colour is the number of rows at
-or below the remembered draw, and the new colour adds one to every row at or
-above it.  A step's draws reach the kernel as two step-major rows: the
-remembered draw m, in the CDF's type, and one int8 step code (int32 from 2d
-= 128 colours on), the flip draw j, or -1 where the step repeats; so a draw
-pass holds 3 bytes per replica-step while n < 2^15 and 2d < 128.  Step 1 is
-the kernel's step that remembers colour 0 (m = -1) and repeats it with
-probability q.
+else int32) and advances all replicas one step at a time with four
+contiguous operations over those rows, as the urn adds one ball of the
+step's colour x: one to every row c >= x, found by compare and bump without
+forming the remembered colour (see ``simulate_replicas``).  A step's draws
+reach the kernel as two step-major rows: the remembered draw m, in the CDF's
+type, and one uint8 step code (uint32 from 2d = 128 colours on), the flip
+draw j, or all ones where the step repeats; so a draw pass holds 3 bytes per
+replica-step while n < 2^15 and 2d < 128.  Step 1 is the kernel's step that
+remembers colour 0 (m = -1) and repeats it with probability q.
 Positions are formed only at snapshot times, and the centre of mass from the
 CDF's running sum, both projected in place: the colour counts are written
 into one (2d, R) array, and their pairwise differences straight into the
@@ -456,11 +456,11 @@ def _draw_chunk(bitgens, held, step_lo, step_hi, m_buf, code_buf, params, last):
     Per chunk and replica the draws are numpy's ``integers(0, highs)`` with
     highs the step count before each step, ``random(width)`` and
     ``integers(0, 2d-1, size=width)``, in that order: ``m_buf`` gets the
-    remembered draws and ``code_buf`` each step's code, -1 where the
-    uniform's raw word is below the chunk's repeat bound (for q or p) and the
-    step repeats, else the flip draw j (0 at d = 1, where numpy draws none).
-    The code is formed while replica-major, as j | -repeat on the unsigned
-    view of the block, and moved step-major in one transposed copy.
+    remembered draws and ``code_buf`` each step's unsigned code, all ones
+    where the uniform's raw word is below the chunk's repeat bound (for q or
+    p) and the step repeats, else the flip draw j (0 at d = 1, where numpy
+    draws none).  The code is formed while replica-major, as j | -repeat,
+    and moved step-major in one transposed copy.
     """
     twod = params.n_colours
     chunks = [(step_lo, step_hi, _below(params.p))]
@@ -480,13 +480,12 @@ def _draw_chunk(bitgens, held, step_lo, step_hi, m_buf, code_buf, params, last):
     block = min(len(held), _DECODE_BLOCK)
     repeats = np.empty((block, width), dtype=bool)
     codes = np.empty((block, width), dtype=code_buf.dtype)
-    bits = codes.view(f"u{codes.itemsize}")
     for cols, values in _decoded_blocks(bitgens, held, segments, last):
         G = len(values[1])
         for (lo, hi, bound), m, raw, j in zip(chunks, values[0::3], values[1::3], values[2::3]):
             rows = slice(lo - step_lo, hi - step_lo + 1)
             m_buf[rows.stop - m.shape[1]:rows.stop, cols] = m.T
-            code = bits[:G, rows]
+            code = codes[:G, rows]
             repeat = np.less(raw, bound, out=repeats[:G, rows]).view(np.uint8)
             np.negative(repeat, dtype=code.dtype, out=code)
             if twod > 2:
@@ -529,12 +528,14 @@ def simulate_replicas(
     remembers colour 0 and repeats it with probability q, and is read with
     draw chunk 1 in one ``random_raw`` call per replica.  A replica's state
     is its colour CDF, cdf[c] = number of steps with colour <= c for c <
-    2d-1, kept as (2d-1, R) rows, int16 while n < 2^15 and int32 from there:
-    the remembered colour r is the number of rows at or below the remembered
-    draw m, the step code s (the flip draw, or -1 for a repeat) gives the
-    colour x = s + (s >= r), or r where s is -1, and a step of colour x adds
-    one to every row c >= x.  Positions are read off the CDF only at
-    snapshot times, and the centre of mass from the CDF's running sum.
+    2d-1, kept as (2d-1, R) rows, int16 while n < 2^15 and int32 from there.
+    A step of colour x adds one to every row c >= x.  With r the remembered
+    colour, the rows c >= r are those with m < cdf[c] for the remembered
+    draw m, and a flip draw j gives x = j + (j >= r), so x <= c iff j + (r <=
+    c) <= c; a repeat's code is all ones in its unsigned type, and adding (r
+    <= c) wraps it to 0 on exactly the rows c >= r.  Positions are read off
+    the CDF only at snapshot times, and the centre of mass from the CDF's
+    running sum.
     """
     d = params.d
     twod = params.n_colours
@@ -546,22 +547,16 @@ def simulate_replicas(
     bitgens = _Substreams(master_seed, R)
     held = np.full(R, -1, dtype=np.int64)
 
-    colour = np.int8 if twod <= 127 else np.int32
+    colour = np.uint8 if twod <= 127 else np.uint32
     # draws stay below n and CDF rows at most n; signed, as m = -1 marks step 1
     index = np.int16 if n < 2**15 else np.int32
     out = np.zeros((len(times), d, R), dtype=np.int64)
     chunk = min(CHUNK_STEPS + 1, n)
     m_buf = np.empty((chunk, R), dtype=index)
     code_buf = np.empty((chunk, R), dtype=colour)
-    at_or_below = np.empty((twod - 1, R), dtype=bool)
-    remembered = np.empty(R, dtype=colour)
-    nxt = np.empty(R, dtype=colour)
-    repeat = np.empty(R, dtype=colour)
-    # int8 rows take the compare's 0/1 bytes as they are, sparing a cast per step
-    up = nxt.view(bool) if colour == np.int8 else nxt
-    # as a 0-d array of the row type, the shift count is not converted per step
-    sign_bit = np.array(np.iinfo(colour).bits - 1, dtype=colour)
-    rows_c = np.arange(twod - 1, dtype=colour)[:, None]
+    mask = np.empty((twod - 1, R), dtype=bool)
+    target = np.empty((twod - 1, R), dtype=colour)
+    rows = np.arange(twod - 1, dtype=colour)[:, None]
     cdf = np.zeros((twod - 1, R), dtype=index)
     cm = np.zeros((twod - 1, R), dtype=np.int64) if track_center_of_mass else None
     step = 1
@@ -570,19 +565,12 @@ def simulate_replicas(
         hi = min(n, step + CHUNK_STEPS - (step > 1))
         width = _draw_chunk(bitgens, held, step, hi, m_buf, code_buf, params, hi == n)
         for k in range(width):
-            # remembered colour: the number of CDF rows at or below m
-            np.greater_equal(m_buf[k], cdf, out=at_or_below)
-            np.sum(at_or_below, axis=0, dtype=colour, out=remembered)
-            # flip target c + (c >= remembered), then remembered where the code c is -1
-            c = code_buf[k]
-            np.greater_equal(c, remembered, out=up)
-            nxt += c
-            np.right_shift(c, sign_bit, out=repeat)
-            remembered ^= nxt
-            remembered &= repeat
-            nxt ^= remembered
-            np.less_equal(nxt, rows_c, out=at_or_below)
-            cdf += at_or_below
+            # the rows c >= r, as m < cdf[c] iff r <= c
+            np.less(m_buf[k], cdf, out=mask)
+            # the rows c >= x, as x <= c iff code + (r <= c) <= c
+            np.add(code_buf[k], mask, out=target)
+            np.less_equal(target, rows, out=mask)
+            cdf += mask
             if cm is not None:
                 cm += cdf
             t = step + k

@@ -204,7 +204,10 @@ def mean_drift(params: ModelParams, n: int) -> np.ndarray:
     """
     n = check_integer("n", n, 1)
     alpha = memory_exponent(params)
-    growth = math.exp(math.lgamma(n + alpha) - math.lgamma(n) - math.lgamma(1.0 + alpha))
+    if 1.0 + alpha == 0.0:  # d = 1 with 2p - 1 rounding to -1: the k = 1 factor is 0
+        growth = float(n == 1)
+    else:
+        growth = math.exp(math.lgamma(n + alpha) - math.lgamma(n) - math.lgamma(1.0 + alpha))
     return growth * _first_step_mean(params)
 
 

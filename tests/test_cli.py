@@ -399,7 +399,7 @@ def test_simulate_json_peak_memory_stays_near_csv(tmp_path):
 
 def test_simulate_peak_memory_is_its_draw_pass_and_snapshots(tmp_path):
     # a run of one draw pass holds that pass at 3 B per replica-step (an int16
-    # remembered draw and an int8 step code) and the (T, d, R) int64 snapshot store;
+    # remembered draw and a uint8 step code) and the (T, d, R) int64 snapshot store;
     # 6 MiB of slack covers a decode block's buffers, one projection and the row
     # writer. Measured above a one-step, two-replica run, which pays the same imports
     d, n, R, T = 2, 500, 10_000, 100
@@ -580,6 +580,17 @@ def test_verify_statistical_failure_exits_1(capsys):
     )
     assert code == 1
     assert "verdict: FAIL" in out
+
+
+@pytest.mark.parametrize("p", ["1e-17", "1/100000000000000000"])
+def test_verify_clt_runs_where_alpha_rounds_to_minus_one(capsys, p):
+    # at d = 1 and p below ~2.8e-17, 2p - 1 is -1.0 in floating point
+    code, out, err = run_cli(
+        capsys, "verify", "clt", "-d", "1", "-p", p,
+        "-n", "100", "--replicas", "50", "--seed", "1",
+    )
+    assert code in (0, 1)
+    assert "verdict:" in out and "Traceback" not in err
 
 
 def test_verify_all_superdiffusive(capsys, tmp_path):

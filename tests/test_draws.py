@@ -50,10 +50,17 @@ ALMOST_ONE = f"{2**40 - 1}/{2**40}"
         # on a partial decode block
         (2, "3/4", "1/5", CHUNK_STEPS + 1, 2 * _DECODE_BLOCK + 3, True),
         (3, "2/5", "1/2", CHUNK_STEPS + 2, 2 * _DECODE_BLOCK + 3, False),
-        # from 2d = 128 colours on, int32 colour rows and step codes; at d = 100 a third
-        # of the flip draws reach 128, where an int8 sign shift would read them as repeats
+        # from 2d = 128 colours on, uint32 step codes; at d = 100 a third of the flip
+        # draws reach 128 and more
         (64, "1/2", "1/2", 40, 5, True),
         (100, "1/3", "1/2", 40, 5, False),
+        # the kernel's extremes: every step repeats colour 0, so a repeat's all-ones code
+        # wraps to 0 on every row; every step from 2 on repeats step 1's colour, which is
+        # not 0 in most replicas, so the code stays all ones on the rows below it; almost
+        # every step flips
+        (3, ALMOST_ONE, ALMOST_ONE, 300, 4, True),
+        (3, ALMOST_ONE, "1/1000000000", 300, 6, True),
+        (2, "1/1000000000", "1/2", 300, 5, True),
         # one on each side of the switch from int16 to int32 draw and CDF rows: with p and
         # q at 1 - 2^-40 every step takes colour 0, so CDF row 0 reaches n
         (1, ALMOST_ONE, ALMOST_ONE, 2**15 - 1, 3, True),

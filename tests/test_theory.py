@@ -350,6 +350,18 @@ def test_cm_mean_drift_matches_moment_recursion():
         )
 
 
+@pytest.mark.parametrize("p", ["1e-17", "1/100000000000000000"])
+def test_drifts_agree_where_alpha_rounds_to_minus_one(p):
+    # at d = 1, 2p - 1 is -1.0 in floating point: E[S_n] = 0 from n = 2 on
+    params = ModelParams(1, p, 0.7)
+    assert 1.0 + memory_exponent(params) == 0.0
+    n = 5
+    drifts = [mean_drift(params, k) for k in range(1, n + 1)]
+    np.testing.assert_allclose(drifts[0], [0.7 - 0.3])
+    np.testing.assert_array_equal(drifts[1:], np.zeros((n - 1, 1)))
+    np.testing.assert_allclose(cm_mean_drift(params, n), np.mean(drifts, axis=0))
+
+
 @pytest.mark.parametrize("n", [2.5, 2.0, True, 0, "3"])
 def test_drifts_refuse_non_integer_horizons(n):
     params = ModelParams(2, 0.6, 0.7)

@@ -21,7 +21,6 @@ from .theory import (
     critical_memory,
     diffusive_covariance,
     memory_exponent,
-    sigma_I,
 )
 from .urn import SpectralData, mean_replacement_matrix
 
@@ -48,7 +47,6 @@ __all__ = [
     "memory_exponent",
     "project_pmf",
     "run_ensemble",
-    "sigma_I",
     "simulate_replicas",
     "verify_center_of_mass",
     "verify_critical",

@@ -5,12 +5,11 @@ critical value p_c = (2d+1)/(4d).  Below it the rescaled walk converges to
 a centered Gaussian process; at it a Brownian limit appears under a
 logarithmic normalization; above it the walk stabilizes almost surely at
 scale n^alpha with alpha = (2dp-1)/(2d-1).  All kernels here are explicit
-and all eigen-decompositions use the rank-one structure of the replacement
-matrix rather than numerical solvers.  The two Gaussian walk kernels take
-times that are floats or arrays broadcasting together, and evaluate their one
-formula at every pair in one call.  alpha, the first-step law and the pairing
-map are read from :mod:`merw.urn`; the batteries of :mod:`merw.montecarlo`
-choose which kernel gates which regime.
+walk-level formulas; no numerical solver is involved.  The two Gaussian walk
+kernels take times that are floats or arrays broadcasting together, and
+evaluate their one formula at every pair in one call.  alpha, the first-step
+law and the pairing map are read from :mod:`merw.urn`; the batteries of
+:mod:`merw.montecarlo` choose which kernel gates which regime.
 """
 
 from __future__ import annotations
@@ -40,10 +39,6 @@ def critical_memory(d: int) -> Fraction:
 def memory_exponent(params: ModelParams) -> float:
     """Second-eigenvalue exponent alpha = (2dp-1)/(2d-1)."""
     return second_eigenvalue(params.d, params.p)
-
-
-def memory_exponent_exact(params: ModelParams) -> Fraction:
-    return second_eigenvalue(params.d, params.p_as_fraction())
 
 
 @dataclass(frozen=True)
@@ -126,57 +121,12 @@ def diffusive_covariance(params: ModelParams, s, t) -> np.ndarray:
     return (prefactor * s * power)[..., None, None] * np.eye(d)
 
 
-def _centring(twod: int) -> np.ndarray:
-    # 2d * I - J: 2d-1 on the diagonal, -1 elsewhere, rows summing to zero
-    return twod * np.eye(twod) - 1.0
-
-
-def sigma_I(params: ModelParams) -> np.ndarray:
-    """Asymptotic covariance of the urn fluctuations at equal times.
-
-    (2d-1)/(4d^2(1+2d-4dp)) times the matrix with 2d-1 on the diagonal and
-    -1 elsewhere; its rows sum to zero.  Diffusive regime only.
-    """
-    _require_regime(params, DIFFUSIVE, "sigma_I")
-    d, p = params.d, params.p
-    twod = 2 * d
-    scale = (twod - 1.0) / (4.0 * d * d * (1.0 + twod - 2 * twod * p))
-    return scale * _centring(twod)
-
-
-def matrix_exponential_factor(params: ModelParams, s: float, t: float) -> np.ndarray:
-    """exp(log(t/s) * A) via the two eigen-projections of A.
-
-    A acts as 1 on the constant direction and as alpha on the zero-sum
-    complement, so the exponential is (t/s) * J/2d + (t/s)^alpha * (I - J/2d).
-    """
-    s, t = map(float, _ordered(s, t))
-    twod = params.n_colours
-    ratio = t / s
-    proj1 = np.full((twod, twod), 1.0 / twod)
-    return ratio * proj1 + ratio ** memory_exponent(params) * (np.eye(twod) - proj1)
-
-
-def urn_diffusive_covariance(params: ModelParams, s: float, t: float) -> np.ndarray:
-    """Urn-level cross-time covariance s * sigma_I * exp(log(t/s) A)."""
-    s, t = map(float, _ordered(s, t))
-    return s * sigma_I(params) @ matrix_exponential_factor(params, s, t)
-
-
 def critical_covariance(params: ModelParams, s, t) -> np.ndarray:
     """Walk-level limit kernel at criticality: (1/d) * min(s, t) * I_d, over
     floats or broadcasting arrays as :func:`diffusive_covariance`."""
     _require_regime(params, CRITICAL, "the critical covariance kernel")
     s, _ = _ordered(s, t)
     return (s / params.d)[..., None, None] * np.eye(params.d)
-
-
-def urn_critical_covariance(params: ModelParams, s: float, t: float) -> np.ndarray:
-    """Urn-level kernel at criticality: (s/4d^2) * (2d * I - J) for s <= t."""
-    _require_regime(params, CRITICAL, "the critical urn kernel")
-    s, _ = map(float, _ordered(s, t))
-    d = params.d
-    return (s / (4.0 * d * d)) * _centring(2 * d)
 
 
 def cm_covariance(params: ModelParams) -> np.ndarray:

@@ -8,9 +8,9 @@ the urn is not simulated on its own: it is read off the ensemble simulation
 through :func:`project_counts`.  This module writes each defining fact of
 the model once: the first ball's colour law (the walk's first step), the
 exact added-colour law (the walk's next-step law, which the exact
-enumeration advances with), the difference map and the second eigenvalue
-alpha = (2dp-1)/(2d-1) with the rest of the closed-form spectral data of
-the mean replacement matrix.
+enumeration advances with), the difference map, the second eigenvalue
+alpha = (2dp-1)/(2d-1), and the mean replacement matrix with its
+closed-form eigenvalues and eigenvectors, which ``merw spectrum`` reports.
 """
 
 from __future__ import annotations
@@ -74,11 +74,6 @@ def project_counts(counts: np.ndarray, out: np.ndarray | None = None) -> np.ndar
     return np.subtract(counts[..., 0::2], counts[..., 1::2], out=out)
 
 
-def pairing_matrix(d: int) -> np.ndarray:
-    """The d x 2d matrix P of the difference map: position = P @ counts."""
-    return project_counts(np.eye(2 * d)).T
-
-
 @dataclass(frozen=True)
 class SpectralData:
     """Mean replacement matrix with its closed-form eigenstructure.
@@ -116,12 +111,3 @@ def mean_replacement_matrix(params: ModelParams) -> SpectralData:
         u1=np.ones(twod),
         lambda2_multiplicity=twod - 1,
     )
-
-
-def lambda2_eigenspace_basis(d: int) -> np.ndarray:
-    """A basis of the zero-sum subspace, the eigenspace of lambda2.
-
-    Rows are e_i - e_{i+1}, i = 0..2d-2: 2d-1 independent vectors, each
-    orthogonal to u1.
-    """
-    return np.eye(2 * d - 1, 2 * d) - np.eye(2 * d - 1, 2 * d, k=1)

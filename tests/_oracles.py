@@ -1,15 +1,19 @@
 """Independent oracles used across the test suite.
 
-Both oracles avoid the package's own code paths: the brute-force law walks
+The oracles avoid the package's own code paths: the brute-force law walks
 over raw direction sequences using the definitional remembered-time rule,
-and the moment recursion propagates exact first and second moments of the
-colour counts one drawing at a time.
+the moment recursion propagates exact first and second moments of the
+colour counts one drawing at a time, and the urn's limit kernel is built
+with a numerical matrix exponential, from which the pairing map must give
+the walk kernels.
 """
 
+import math
 from fractions import Fraction
 from itertools import product
 
 import numpy as np
+from scipy import linalg
 
 
 def compositions(total, parts):
@@ -65,6 +69,26 @@ def pairing(d):
         P[k, 2 * k] = 1.0
         P[k, 2 * k + 1] = -1.0
     return P
+
+
+def lambda2_basis(d):
+    """Rows e_i - e_{i+1}, i = 0..2d-2: a basis of the zero-sum subspace, lambda2's eigenspace."""
+    return np.eye(2 * d - 1, 2 * d) - np.eye(2 * d - 1, 2 * d, k=1)
+
+
+def urn_covariance(d, p, s, t, critical=False):
+    """Limit covariance of the urn's centred colour counts at times s <= t.
+
+    Below p_c it is s * Sigma_I * expm(log(t/s) A) with
+    Sigma_I = (2d-1)/(4d^2 (1+2d-4dp)) * (2d I - J); at p_c it is
+    (s/4d^2) * (2d I - J).  In both cases its rows sum to zero.
+    """
+    twod = 2 * d
+    centring = twod * np.eye(twod) - 1.0
+    if critical:
+        return s / (4.0 * d * d) * centring
+    sigma = (twod - 1.0) / (4.0 * d * d * (1.0 + twod - 2 * twod * p)) * centring
+    return s * sigma @ linalg.expm(math.log(t / s) * replacement_matrix(d, p))
 
 
 def first_step_mean(d, q):

@@ -1,9 +1,11 @@
+import ast
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy import integrate, linalg
+from scipy import integrate
 
 from merw.params import ModelParams, ParameterError, RegimeError
 from merw.theory import (
@@ -16,17 +18,12 @@ from merw.theory import (
     critical_covariance,
     critical_memory,
     diffusive_covariance,
-    matrix_exponential_factor,
     mean_drift,
     memory_exponent,
-    memory_exponent_exact,
-    sigma_I,
-    urn_critical_covariance,
-    urn_diffusive_covariance,
 )
-from merw.urn import mean_replacement_matrix, pairing_matrix
+from merw.urn import second_eigenvalue
 
-from tests._oracles import exact_moments, pairing
+from tests._oracles import exact_moments, pairing, urn_covariance
 
 
 # -------------------------------------------------------------------- regime
@@ -77,7 +74,7 @@ def test_classify_trichotomy():
 def test_alpha_at_criticality_is_exactly_one_half():
     for d in (1, 2, 3, 7):
         params = ModelParams(d, critical_memory(d))
-        assert memory_exponent_exact(params) == Fraction(1, 2)
+        assert second_eigenvalue(d, params.p_as_fraction()) == Fraction(1, 2)
 
 
 def test_alpha_can_be_negative():
@@ -125,10 +122,7 @@ def test_diffusive_kernel_domain_errors():
 def test_kernels_refuse_non_finite_times(bad):
     kernels = [
         (diffusive_covariance, ModelParams(1, "1/2")),
-        (urn_diffusive_covariance, ModelParams(1, "1/2")),
-        (matrix_exponential_factor, ModelParams(1, "1/2")),
         (critical_covariance, ModelParams(1, "3/4")),
-        (urn_critical_covariance, ModelParams(1, "3/4")),
     ]
     for kernel, params in kernels:
         for s, t in ((bad, 1.0), (1.0, bad)):
@@ -136,46 +130,15 @@ def test_kernels_refuse_non_finite_times(bad):
                 kernel(params, s, t)
 
 
-# ------------------------------------------------------------------- sigma_I
-
-def test_sigma_I_d1_value():
-    np.testing.assert_allclose(
-        sigma_I(ModelParams(1, 0.5)), 0.25 * np.array([[1, -1], [-1, 1]])
-    )
-
-
-def test_sigma_I_row_sums_vanish():
-    for d in (1, 2, 4):
-        for p in (0.1, 0.3, 0.55):
-            if classify_regime(ModelParams(d, p)).regime != DIFFUSIVE:
-                continue
-            np.testing.assert_allclose(sigma_I(ModelParams(d, p)).sum(axis=1), 0, atol=1e-15)
-
+# ------------------------------------- walk kernels against the urn's kernel
 
 def test_sigma_I_projects_to_walk_variance():
     for d, p in ((1, 0.5), (2, 0.5), (3, 0.2)):
-        params = ModelParams(d, p)
-        P = pairing_matrix(d)
+        P = pairing(d)
         np.testing.assert_allclose(
-            P @ sigma_I(params) @ P.T, diffusive_covariance(params, 1, 1), atol=1e-12
+            P @ urn_covariance(d, p, 1.0, 1.0) @ P.T,
+            diffusive_covariance(ModelParams(d, p), 1, 1), atol=1e-12,
         )
-
-
-def test_sigma_I_domain_error():
-    with pytest.raises(RegimeError):
-        sigma_I(ModelParams(2, 0.7))
-
-
-# --------------------------------------------- kernel consistency chain
-
-def test_matrix_exponential_factor_against_expm():
-    for d, p in ((1, 0.3), (2, 0.55), (3, 0.7)):
-        params = ModelParams(d, p)
-        A = mean_replacement_matrix(params).matrix
-        for s, t in ((0.2, 1.0), (0.5, 0.8), (1.0, 1.0)):
-            closed = matrix_exponential_factor(params, s, t)
-            reference = linalg.expm(math.log(t / s) * A)
-            np.testing.assert_allclose(closed, reference, atol=1e-12)
 
 
 def test_diffusive_chain_consistency():
@@ -185,11 +148,10 @@ def test_diffusive_chain_consistency():
     for d in (1, 2, 3):
         for p in (0.2, 0.5):
             params = ModelParams(d, p)
-            P = pairing_matrix(d)
+            P = pairing(d)
             for i, s in enumerate(grid):
                 t = grid[min(i + 3, len(grid) - 1)]
-                urn_cov = urn_diffusive_covariance(params, s, t)
-                walk_cov = P @ urn_cov @ P.T
+                walk_cov = P @ urn_covariance(d, p, s, t) @ P.T
                 np.testing.assert_allclose(
                     walk_cov, diffusive_covariance(params, s, t), atol=1e-10
                 )
@@ -198,9 +160,9 @@ def test_diffusive_chain_consistency():
 def test_critical_chain_consistency():
     for d in (1, 2, 3):
         params = ModelParams(d, critical_memory(d))
-        P = pairing_matrix(d)
+        P = pairing(d)
         for s, t in ((0.2, 0.7), (0.5, 0.5), (1.0, 1.0)):
-            urn_cov = urn_critical_covariance(params, s, t)
+            urn_cov = urn_covariance(d, params.p, s, t, critical=True)
             np.testing.assert_allclose(
                 P @ urn_cov @ P.T, critical_covariance(params, s, t), atol=1e-12
             )
@@ -383,3 +345,31 @@ def test_public_names_resolve_and_the_covariance_spec_is_gone():
         assert name not in merw.__all__
         assert not hasattr(merw, name)
         assert not hasattr(merw.theory, name)
+
+
+def test_every_src_definition_is_used_or_exported():
+    # a top-level function or class that no src code names and merw does not
+    # export is code that only tests can reach: it belongs in tests/_oracles.py
+    import merw
+    import merw.theory
+    import merw.urn
+
+    defined, used = {}, set()
+    for path in sorted(Path(merw.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined[node.name] = path.name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    unused = sorted(f"{module}:{name}" for name, module in defined.items()
+                    if name not in used and name not in merw.__all__)
+    assert unused == []
+    for name in ("_centring", "sigma_I", "matrix_exponential_factor", "urn_diffusive_covariance",
+                 "urn_critical_covariance", "memory_exponent_exact", "pairing_matrix",
+                 "lambda2_eigenspace_basis"):
+        for module in (merw, merw.theory, merw.urn):
+            assert not hasattr(module, name), f"{module.__name__}.{name}"

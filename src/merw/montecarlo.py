@@ -224,7 +224,7 @@ def _gaussian_checks(cfg, summary, kernel, eff, mean_div, var_div, pair_div, flo
     var = cov_k[:, axis, axis]
     cross = cov[i, j][:, axis, axis] / np.broadcast_to(pair_div, (T, T))[i, j][:, None]
     v_s, v_t = var[i], var[j]
-    drift = np.array([theory.mean_drift(params, t) for t in summary.times]) / mean_div
+    drift = theory.mean_drift(params, summary.times) / mean_div
 
     text = [str(g) for g in grid]  # as an f-string formats them, once per value
     snapshots = [f"{key}={g}" for g in text]
@@ -252,7 +252,7 @@ def _gaussian_checks(cfg, summary, kernel, eff, mean_div, var_div, pair_div, flo
         inc_checks = _checks(
             [f"increment_decorrelation[{pair}, axis={x}]" for pair in pairs for x in range(d)],
             0.0, inc, _covariance_se(v_diff, v_s, inc, R),
-            note="cov(Z_t - Z_s, Z_s); bias-free by the martingale structure")
+            note="cov(Z_t - Z_s, Z_s); of order 1/s at finite n, 0 in the limit")
         time_checks = [c for both in zip(time_checks, inc_checks) for c in both]
 
     per_axis = [c for both in zip(var_checks, mean_checks) for c in both]
@@ -344,10 +344,9 @@ def verify_critical(cfg: EnsembleConfig) -> VerificationReport:
     Variances carry a 15% relative floor: the finite-size correction decays
     like 1/log(n), so tighter gates are not meaningful at desk scale.
     Increment decorrelation is gated at four standard errors with no floor.
-    It is not bias-free at finite n: only S_t/gamma_t, with gamma_t =
-    Gamma(t+1/2)/(Gamma(t) Gamma(3/2)), is an exact martingale, so the
-    sqrt(t)-normalised increment covariance is
-    V(s)/s * (gamma_t/gamma_s * sqrt(s/t) - 1), which is of order 1/s
+    It is not bias-free at finite n: only S_t/gamma_t, gamma_t = prod_{k<t}
+    (1 + 1/(2k)), is an exact martingale, so the sqrt(t)-normalised increment
+    covariance is V(s)/s * (gamma_t/gamma_s * sqrt(s/t) - 1), of order 1/s
     (1.2e-3 V(s)/s at (s, t) = (100, 10^4), 1.1e-2 V(s)/s at (10, 100)).
     """
     t0 = time.perf_counter()

@@ -1,15 +1,15 @@
-"""Closed-form limit predictions: regimes, covariance kernels, drifts.
+"""Closed-form limit predictions: regimes, covariance kernels, exact means.
 
 The memory parameter splits the model into three regimes around the
 critical value p_c = (2d+1)/(4d).  Below it the rescaled walk converges to
 a centered Gaussian process; at it a Brownian limit appears under a
 logarithmic normalization; above it the walk stabilizes almost surely at
-scale n^alpha with alpha = (2dp-1)/(2d-1).  All kernels here are explicit
-walk-level formulas; no numerical solver is involved.  The two Gaussian walk
-kernels take times that are floats or arrays broadcasting together, and
-evaluate their one formula at every pair in one call.  alpha, the first-step
-law and the pairing map are read from :mod:`merw.urn`; the batteries of
-:mod:`merw.montecarlo` choose which kernel gates which regime.
+scale n^alpha with alpha = (2dp-1)/(2d-1).  The two Gaussian walk kernels
+are explicit formulas, evaluated at every pair of broadcasting times in one
+call.  E[S_t] = gamma_t E[S_1], gamma_t = prod_{k<t} (1 + alpha/k), and
+E[G_n] come from one scan: a cumprod and a cumsum per fixed block of steps,
+carrying gamma_t and its running sum, so memory does not grow with t.
+alpha, the first-step law and the pairing map are read from :mod:`merw.urn`.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .params import ModelParams, RegimeError, check_integer
+from .params import ModelParams, ParameterError, RegimeError, check_integer
 from .urn import first_colour_law, project_counts, second_eigenvalue
 
 DIFFUSIVE = "diffusive"
@@ -29,6 +29,8 @@ SUPERDIFFUSIVE = "superdiffusive"
 
 #: Float inputs within this distance of p_c are reported as numerically critical.
 CRITICAL_BAND = 1e-12
+#: Steps per block of the mean scan, which holds a few blocks whatever the horizon.
+_SCAN_STEPS = 1 << 14
 
 
 def critical_memory(d: int) -> Fraction:
@@ -140,31 +142,30 @@ def cm_covariance(params: ModelParams) -> np.ndarray:
     return 2.0 / (3.0 * (1.0 - 2.0 * a) * (2.0 - a) * params.d) * np.eye(params.d)
 
 
-def _first_step_mean(params: ModelParams) -> np.ndarray:
-    # E[S_1]: the first colour's law pushed through the pairing map
-    return project_counts(np.array(first_colour_law(params.q, params.n_colours)))
+def _mean_scan(params: ModelParams, times) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # gamma_t = prod_{k<t} (1 + alpha/k) and sum_{s<=t} gamma_s at the times, and E[S_1];
+    # at alpha = -1 the k = 1 factor is 0, so gamma_t = 0 from t = 2 on
+    at = np.array([check_integer("times", t, 1) for t in times], dtype=np.int64)
+    if not at.size or np.any(at[1:] <= at[:-1]):
+        raise ParameterError(f"times: expected a nonempty increasing sequence, got {times!r}")
+    alpha, g, s = memory_exponent(params), 1.0, 1.0  # g, s: gamma and sum before the block
+    gamma, total = np.ones(at.size), np.ones(at.size)  # the values at t = 1
+    for lo in range(1, int(at[-1]), _SCAN_STEPS):
+        block = g * np.cumprod(1.0 + alpha / np.arange(lo, min(lo + _SCAN_STEPS, at[-1])))
+        sums = s + np.cumsum(block)  # block and sums hold times lo + 1 .. lo + block.size
+        hit = slice(*np.searchsorted(at, [lo, lo + block.size], side="right"))
+        gamma[hit], total[hit] = block[at[hit] - lo - 1], sums[at[hit] - lo - 1]
+        g, s = block[-1], sums[-1]
+    return gamma, total, project_counts(np.array(first_colour_law(params.q, params.n_colours)))
 
 
-def mean_drift(params: ModelParams, n: int) -> np.ndarray:
-    """Exact E[S_n]: the projected first-step mean grown along alpha.
-
-    The projected mean is an eigenvector of the replacement dynamics for
-    alpha, so E[S_n] = prod_{k=1}^{n-1} (1 + alpha/k) * E[S_1], and the
-    product is Gamma(n+alpha) / (Gamma(n) Gamma(1+alpha)).
-    """
-    n = check_integer("n", n, 1)
-    alpha = memory_exponent(params)
-    if 1.0 + alpha == 0.0:  # d = 1 with 2p - 1 rounding to -1: the k = 1 factor is 0
-        growth = float(n == 1)
-    else:
-        growth = math.exp(math.lgamma(n + alpha) - math.lgamma(n) - math.lgamma(1.0 + alpha))
-    return growth * _first_step_mean(params)
+def mean_drift(params: ModelParams, times) -> np.ndarray:
+    """Exact E[S_t] = prod_{k<t} (1 + alpha/k) E[S_1] at increasing times t >= 1, as (T, d)."""
+    gamma, _, first = _mean_scan(params, times)
+    return gamma[:, None] * first
 
 
 def cm_mean_drift(params: ModelParams, n: int) -> np.ndarray:
-    """Exact E[G_n] = (1/n) sum_k E[S_k]."""
-    n = check_integer("n", n, 1)
-    alpha = memory_exponent(params)
-    factors = 1.0 + alpha / np.arange(1, n, dtype=np.float64)
-    growth = np.concatenate(([1.0], np.cumprod(factors)))
-    return float(growth.sum()) / n * _first_step_mean(params)
+    """Exact E[G_n] = (1/n) sum_{t<=n} E[S_t], from the same scan as :func:`mean_drift`."""
+    _, total, first = _mean_scan(params, [check_integer("n", n, 1)])
+    return total[0] / n * first

@@ -5,10 +5,12 @@ over raw direction sequences using the definitional remembered-time rule,
 the moment recursion propagates exact first and second moments of the
 colour counts one drawing at a time, and the urn's limit kernel is built
 with a numerical matrix exponential, from which the pairing map must give
-the walk kernels.
+the walk kernels.  The mean growth gamma_t and its running sum come from a
+50-digit decimal recursion.
 """
 
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import product
 
@@ -96,6 +98,28 @@ def first_step_mean(d, q):
     xi = np.full(twod, (1.0 - q) / (twod - 1))
     xi[0] = q
     return xi
+
+
+def gamma_sums(d, p, times):
+    """gamma_t = prod_{k<t} (1 + alpha/k) and sum_{s<=t} gamma_s at the times, as floats.
+
+    One multiplication and one addition per step in 50-digit decimal
+    arithmetic, with alpha = (2dp-1)/(2d-1) exact from the Fraction p.
+    Returns {t: (gamma_t, sum_{s<=t} gamma_s)}.
+    """
+    times, out = set(times), {}
+    with localcontext() as ctx:
+        ctx.prec = 50
+        a = (2 * d * p - 1) / (2 * d - 1)
+        alpha = Decimal(a.numerator) / Decimal(a.denominator)
+        gamma = total = Decimal(1)
+        for t in range(1, max(times) + 1):
+            if t > 1:
+                gamma *= 1 + alpha / (t - 1)
+                total += gamma
+            if t in times:
+                out[t] = (float(gamma), float(total))
+    return out
 
 
 def exact_moments(d, p, q, n, times=(), track_sum=False):

@@ -358,30 +358,34 @@ def test_format_rows_matches_percent_d(fmt, d, data):
     assert got == expected
 
 
-# runs `merw` in a fresh interpreter and reports its peak RSS (KiB) on stderr.
-# ru_maxrss would not do: across fork and exec it keeps the parent's peak, so
-# a child of a large test process reads that process's memory, not its own
-CHILD = """
+# the peak RSS (KiB) of the running process. ru_maxrss would not do: across fork
+# and exec it keeps the parent's peak, so a child of a large test process reads
+# that process's memory, not its own
+PEAK_KIB = """
 import sys
+def peak_kib():
+    with open("/proc/self/status") as fh:
+        return int(next(line.split()[1] for line in fh if line.startswith("VmHWM:")))
+"""
+# runs `merw` in a fresh interpreter and reports its peak RSS (KiB) on stderr
+CHILD = PEAK_KIB + """
 from merw.cli import main
 code = main(sys.argv[1:])
-with open("/proc/self/status") as fh:
-    peak = next(line.split()[1] for line in fh if line.startswith("VmHWM:"))
-print("peak_kib", peak, file=sys.stderr)
+print("peak_kib", peak_kib(), file=sys.stderr)
 sys.exit(code)
 """
 
 
-def child(*argv, **kwargs):
+def child(*argv, script=CHILD, **kwargs):
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
-    return subprocess.Popen([sys.executable, "-c", CHILD, *argv], env=env,
+    return subprocess.Popen([sys.executable, "-c", script, *argv], env=env,
                             stderr=subprocess.PIPE, text=True, **kwargs)
 
 
-def peak_mib(*argv):
-    proc = child(*argv)
+def peak_mib(*argv, script=CHILD):
+    proc = child(*argv, script=script)
     _, err = proc.communicate()
     assert proc.returncode == 0, err
     return int(err.split("peak_kib")[-1]) / 1024
@@ -410,6 +414,23 @@ def test_simulate_peak_memory_is_its_draw_pass_and_snapshots(tmp_path):
                     "--seed", "1", "--out", str(tmp_path / "rows.csv"))
     bound = (3 * min(CHUNK_STEPS + 1, n) * R + 8 * T * d * R) / 2**20 + 6
     assert peak - base <= bound, (peak - base, bound)
+
+
+def test_cm_mean_drift_peak_memory_does_not_grow_with_n():
+    # the exact E[G_n] comes from a scan over fixed blocks of steps: at n = 10^7 the
+    # peak RSS rises by a few blocks, not by the 24 B per step (229 MiB) that one
+    # cumprod over the whole horizon holds. Measured above a call at n = 2 in the same
+    # fresh interpreter, after the same imports
+    rise = peak_mib(script=PEAK_KIB + """
+from merw.params import ModelParams
+from merw.theory import cm_mean_drift
+params = ModelParams(1, "3/10", "7/10")
+cm_mean_drift(params, 2)
+base = peak_kib()
+cm_mean_drift(params, 10**7)
+print("peak_kib", peak_kib() - base, file=sys.stderr)
+""")
+    assert rise < 8, rise
 
 
 def test_simulate_into_a_closed_pipe_exits_141_without_a_traceback():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from merw import theory
 from merw.params import ModelParams, ParameterError, RegimeError
 from merw.theory import (
     CRITICAL,
@@ -23,7 +24,7 @@ from merw.theory import (
 )
 from merw.urn import second_eigenvalue
 
-from tests._oracles import exact_moments, pairing, urn_covariance
+from tests._oracles import exact_moments, first_step_mean, gamma_sums, pairing, urn_covariance
 
 
 # -------------------------------------------------------------------- regime
@@ -294,13 +295,13 @@ def test_mean_drift_matches_moment_recursion():
         xbar, _ = res["recorded"][n]
         expected = pairing(d) @ xbar
         np.testing.assert_allclose(
-            mean_drift(ModelParams(d, p, q), n), expected, rtol=1e-9, atol=1e-12
+            mean_drift(ModelParams(d, p, q), [n])[0], expected, rtol=1e-9, atol=1e-12
         )
 
 
 def test_mean_drift_first_step():
     params = ModelParams(2, 0.5, "0.7")
-    np.testing.assert_allclose(mean_drift(params, 1), [0.7 - 0.1, 0.0])
+    np.testing.assert_allclose(mean_drift(params, [1]), [[0.7 - 0.1, 0.0]])
 
 
 def test_cm_mean_drift_matches_moment_recursion():
@@ -318,19 +319,55 @@ def test_drifts_agree_where_alpha_rounds_to_minus_one(p):
     params = ModelParams(1, p, 0.7)
     assert 1.0 + memory_exponent(params) == 0.0
     n = 5
-    drifts = [mean_drift(params, k) for k in range(1, n + 1)]
+    drifts = mean_drift(params, range(1, n + 1))
     np.testing.assert_allclose(drifts[0], [0.7 - 0.3])
     np.testing.assert_array_equal(drifts[1:], np.zeros((n - 1, 1)))
     np.testing.assert_allclose(cm_mean_drift(params, n), np.mean(drifts, axis=0))
 
 
-@pytest.mark.parametrize("n", [2.5, 2.0, True, 0, "3"])
+# (d, p, q) over the three regimes at d = 1-3, mostly with q != 1/2, and at d = 1,
+# p = 1/4 (alpha = -1/2)
+MEAN_CASES = [
+    (1, "1/4", "7/10"), (1, "3/10", "3/10"), (1, "3/4", "7/10"), (1, "9/10", "3/10"),
+    (2, "3/10", "7/10"), (2, "5/8", "3/10"), (2, "9/10", "3/5"),
+    (3, "3/10", "3/5"), (3, "7/12", "1/2"), (3, "9/10", "7/10"),
+]
+
+
+@pytest.mark.parametrize("d, p, q", MEAN_CASES)
+def test_means_match_decimal_recursion(d, p, q, monkeypatch):
+    # E[S_t] = gamma_t E[S_1] and E[G_t] = sum_{s<=t} gamma_s E[S_1] / t to 1e-13 relative,
+    # with times on both sides of the scan's first two block edges, at its own block size
+    # and at two smaller ones that put several edges below t = 10^4
+    params = ModelParams(d, p, q)
+    first = pairing(d) @ first_step_mean(d, float(Fraction(q)))
+    blocks = (theory._SCAN_STEPS, 1000, 7)
+    grids = [sorted(t for t in {1, 2, 3, b, b + 1, b + 2, b + 3, 2 * b + 1, 2 * b + 2, 5000, 10**4}
+                    if t <= max(b + 3, 10**4)) for b in blocks]
+    exact = gamma_sums(d, Fraction(p), set().union(*grids))
+    for block, times in zip(blocks, grids):
+        monkeypatch.setattr(theory, "_SCAN_STEPS", block)
+        gamma = np.array([exact[t][0] for t in times])
+        np.testing.assert_allclose(mean_drift(params, times), gamma[:, None] * first, rtol=1e-13)
+        for t in times:
+            np.testing.assert_allclose(cm_mean_drift(params, t), exact[t][1] / t * first,
+                                       rtol=1e-13)
+
+
+@pytest.mark.parametrize("n", [
+    2.5, 2.0, True, 0, "3",
+    pytest.param([], id="no-times"), pytest.param([1, 2.5], id="non-integer-time"),
+    pytest.param([0, 3], id="time-below-1"), pytest.param([3, 2], id="decreasing-times"),
+    pytest.param([2, 2], id="repeated-time"),
+])
 def test_drifts_refuse_non_integer_horizons(n):
+    # a scalar is a horizon for both drifts; a list is a time sequence for mean_drift alone
     params = ModelParams(2, 0.6, 0.7)
-    with pytest.raises(ParameterError, match="n: expected an integer"):
-        mean_drift(params, n)
-    with pytest.raises(ParameterError, match="n: expected an integer"):
-        cm_mean_drift(params, n)
+    with pytest.raises(ParameterError, match="times: expected"):
+        mean_drift(params, n if isinstance(n, list) else [n])
+    if not isinstance(n, list):
+        with pytest.raises(ParameterError, match="n: expected an integer"):
+            cm_mean_drift(params, n)
 
 
 # ------------------------------------------------------------- public names

@@ -22,17 +22,13 @@ snapshot's (d, R) slot.
 Replica r draws from its own Philox substream keyed by (master_seed, r), so
 results do not depend on how work is batched and rerunning a configuration
 reproduces every path bit for bit.  The key is numpy's ``SeedSequence(
-master_seed, spawn_key=(r,))`` state (``replica_generator`` is that
-definition), computed for all replicas in one pass by ``replica_keys``: the
-seed words are mixed into the hash pool once, and only the spawn words of r
-are hashed per replica, over uint32 arrays.  Each replica still gets its own
-Philox, built by ``replica_generator`` from its key, because its words are
-read one ``random_raw`` call per replica and draw pass, with a replica's
-pending 32-bit half carried inside its generator from one call to the next.
-A build hands Philox the key row and numpy's zero counter as ready arrays,
-so it costs little more than numpy's own object set-up.  A replica's
-generator is built when its decode block is first drawn and dropped once the
-last pass has drawn it, so a one-pass run holds one block's generators.
+master_seed, spawn_key=(r,))`` state, computed for all replicas in one pass
+by ``replica_keys``.  ``_Substreams`` owns each replica's place in its
+stream: the replica's Philox, built by ``replica_generator`` from its key
+row when its decode block is first drawn and dropped once the last pass has
+drawn it, carries the counter, and ``_Substreams.held`` carries the pending
+32-bit half from the replica's one ``random_raw`` call per draw pass to the
+next.  A one-pass run thus holds one block's generators.
 Draw chunk 0 is step 1 alone, and each later chunk up to ``CHUNK_STEPS``
 steps; the first pass reads chunks 0 and 1, each later pass one chunk, and
 as a replica's words are sequential in one stream no draw changes step.  A
@@ -65,7 +61,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .params import ModelParams, ParameterError, check_budget, check_integer
+from .params import ModelParams, ParameterError, check_budget, check_integer, check_sequence
 from .urn import project_counts
 
 #: Steps prefetched per chunk.  Part of the determinism contract: changing it
@@ -89,22 +85,14 @@ _ZERO_COUNTER = np.zeros(4, dtype=np.uint64)
 _ZERO_COUNTER.flags.writeable = False
 
 
-def replica_generator(master_seed: int, replica: int, key: np.ndarray | None = None
-                      ) -> np.random.Generator:
-    """The independent substream for one replica: Philox keyed by (seed, r).
+def replica_generator(key: np.ndarray) -> np.random.Philox:
+    """One replica's substream: Philox keyed by its row of :func:`replica_keys`.
 
-    The key is the state of ``np.random.SeedSequence(master_seed,
-    spawn_key=(replica,))``.  A caller that holds it already, as a row of
-    :func:`replica_keys`, passes it as ``key``, and no ``SeedSequence`` is
-    built.  The counter, numpy's default zero, is passed as one shared
-    uint64[4] array (Philox copies it), which spares numpy converting a
-    scalar 0 on every build.
+    The counter, numpy's default zero, is passed as one shared uint64[4]
+    array (Philox copies it), which spares numpy converting a scalar 0 on
+    every build.
     """
-    if key is None:
-        seed = np.random.SeedSequence(master_seed, spawn_key=(replica,))
-    else:
-        seed = _key_seed_type()(key)
-    return np.random.Generator(np.random.Philox(seed, counter=_ZERO_COUNTER))
+    return np.random.Philox(_key_seed_type()(key), counter=_ZERO_COUNTER)
 
 
 # the constants of numpy's SeedSequence hash (O'Neill's seed_seq_fe)
@@ -131,11 +119,11 @@ def replica_keys(master_seed: int, replicas) -> np.ndarray:
     """Philox keys of the substreams of ``replicas``, as (R, 2) uint64.
 
     Row i equals ``np.random.SeedSequence(master_seed, spawn_key=(r,))
-    .generate_state(2, np.uint64)`` for r = replicas[i], the key
-    :func:`replica_generator` seeds Philox with.  The seed's two 32-bit words
-    (zero-padded to the pool size of 4) are mixed into the pool once; only the
-    spawn words of r, one below 2^32 and two from there on, are hashed per
-    replica, over uint32 arrays.
+    .generate_state(2, np.uint64)`` for r = replicas[i], the key that
+    :func:`replica_generator` builds replica r's Philox from.  The seed's two
+    32-bit words (zero-padded to the pool size of 4) are mixed into the pool
+    once; only the spawn words of r, one below 2^32 and two from there on, are
+    hashed per replica, over uint32 arrays.
     """
     master_seed = check_integer("master_seed", master_seed, 0, 2**64 - 1)
     r = np.asarray(replicas)
@@ -208,7 +196,7 @@ def grid_times(grid: Sequence[float], n: int, exponent: bool = False) -> tuple[i
     least 1, and no two of its values may give the same time, so the times
     are strictly increasing too.
     """
-    grid = tuple(float(g) for g in grid)
+    grid = tuple(float(g) for g in check_sequence("snapshot grid", grid))
     if not grid:
         raise ParameterError("the snapshot grid must not be empty")
     if any(not 0.0 < g <= 1.0 for g in grid):
@@ -262,7 +250,8 @@ class EnsembleConfig:
                 "exactly one of snapshot_fractions and exponent_times must be given"
             )
         field_name = "exponent_times" if self.snapshot_fractions is None else "snapshot_fractions"
-        object.__setattr__(self, field_name, tuple(float(g) for g in getattr(self, field_name)))
+        grid = check_sequence(field_name, getattr(self, field_name))
+        object.__setattr__(self, field_name, tuple(float(g) for g in grid))
         self.snapshot_times()  # validates the grid
 
     def snapshot_times(self) -> tuple[int, ...]:
@@ -355,64 +344,65 @@ def _redraw(bitgen, total, held, segments):
 
     The replica's stream has just given the pass's ``total`` words, in which
     the bulk decoder met a rejected draw; ``held`` is its pending half at the
-    start of the pass, or None.  Its Philox is rewound to that start and the
+    start of the pass, -1 for none.  Its Philox is rewound to that start and the
     segments are drawn as numpy draws them: ``integers(0, highs)``, and the
     raw words that ``random(width)`` reads.  Returns the values of each
-    segment and the pending half after.
+    segment and the pending half after, -1 for none.
     """
     state = bitgen.state
     counter = state["state"]["counter"]
     # words read so far: the buffer's block is number counter[0] (from 1), buffer_pos of it read
     start = 4 * int(counter[0]) + state["buffer_pos"] - 4 - total
     counter[0] = start // 4  # the low word suffices: a run reads far fewer than 2^64 words
-    state.update(buffer_pos=4, has_uint32=int(held is not None), uinteger=held or 0)
+    state.update(buffer_pos=4, has_uint32=int(held >= 0), uinteger=max(held, 0))
     bitgen.state = state
     bitgen.random_raw(start % 4)
     gen = np.random.Generator(bitgen)
     values = [bitgen.random_raw(seg) if isinstance(seg, int)
               else gen.integers(0, seg, dtype=np.uint64) for seg in segments]
     state = bitgen.state
-    return values, state["uinteger"] if state["has_uint32"] else None
+    return values, state["uinteger"] if state["has_uint32"] else -1
 
 
 class _Substreams:
-    """The replicas' Philox bit generators, each built when its replica is first drawn.
+    """Each replica's place in its Philox substream: key, counter and pending half.
 
-    Item r is replica r's, built by ``replica_generator`` from its row of
-    :func:`replica_keys` when first looked up; ``release(r0, r1)`` drops those
-    of replicas that no later pass draws from.
+    ``keys`` holds the (R, 2) rows of :func:`replica_keys`.  Item r is
+    replica r's Philox, which carries its counter: ``replica_generator``
+    builds it from key row r when first looked up, and ``release(r0, r1)``
+    drops those of replicas that no later pass draws from.  ``held`` (R,)
+    int64 holds each replica's pending 32-bit half, -1 for none.
     """
 
     def __init__(self, master_seed: int, replicas: int):
-        self.master_seed = master_seed
         self.keys = replica_keys(master_seed, np.arange(replicas))
         self.bitgens = [None] * replicas
+        self.held = np.full(replicas, -1, dtype=np.int64)
 
     def __getitem__(self, r: int):
         bitgen = self.bitgens[r]
         if bitgen is None:
-            gen = replica_generator(self.master_seed, r, self.keys[r])
-            bitgen = self.bitgens[r] = gen.bit_generator
+            bitgen = self.bitgens[r] = replica_generator(self.keys[r])
         return bitgen
 
     def release(self, r0: int, r1: int) -> None:
         self.bitgens[r0:r1] = [None] * (r1 - r0)
 
 
-def _decoded_blocks(bitgens, held, segments, last=False):
-    """Draw the segments for every replica, a block of replicas at a time.
+def _decoded_blocks(streams, segments, last=False):
+    """Draw the segments for every replica of ``streams``, a block of replicas at a time.
 
-    ``held`` (R,) int64 holds each replica's pending half, -1 for none, and is
-    updated in place.  Each replica's words come from one ``random_raw`` call
-    on its own stream, sized for no rejection; the replicas of a block are
-    decoded together per pending flag, and a replica that met a rejection is
-    redrawn by numpy's ``Generator`` from the start of its pass
-    (:func:`_redraw`).  Yields (columns, values): the replicas as a
-    slice or an index array, and one array per segment with a row for each.
-    The values are views of buffers that the next block reuses.  When
-    ``last``, no later pass draws from ``bitgens`` (a :class:`_Substreams`),
-    and each block's streams are released once it is drawn.
+    Each replica's words come from one ``random_raw`` call on its own stream,
+    sized for no rejection, and its pending half in ``streams.held`` is
+    updated; the replicas of a block are decoded together per pending flag,
+    and a replica that met a rejection is redrawn by numpy's ``Generator``
+    from the start of its pass (:func:`_redraw`).  Yields (columns, values):
+    the replicas as a slice or an index array, and one array per segment with
+    a row for each.  The values are views of buffers that the next block
+    reuses.  When ``last``, no later pass draws from ``streams``, and each
+    block's streams are released once it is drawn.
     """
+    held = streams.held
     plans = {pending: _plan(segments, pending) for pending in (0, 1)}
     R = len(held)
     block = min(R, _DECODE_BLOCK)
@@ -431,23 +421,21 @@ def _decoded_blocks(bitgens, held, segments, last=False):
             spans, total = plans[pending]
             words = word_buf[:rows.size, :total]
             for i, r in enumerate(rows.tolist()):
-                words[i] = bitgens[r].random_raw(total)
+                words[i] = streams[r].random_raw(total)
             start = held[rows].astype(np.uint64) if pending else None
             values, rejected, end = _decode(words, start, spans, segments, scratch)
             held[rows] = -1 if end is None else end
             for i in np.flatnonzero(rejected).tolist():
-                redrawn, half = _redraw(
-                    bitgens[rows[i]], total, int(start[i]) if pending else None, segments
-                )
+                half = int(start[i]) if pending else -1
+                redrawn, held[rows[i]] = _redraw(streams[rows[i]], total, half, segments)
                 for out, part in zip(values, redrawn):
                     out[i] = part
-                held[rows[i]] = -1 if half is None else half
             yield (slice(r0, r1) if rows.size == r1 - r0 else rows), values
         if last:
-            bitgens.release(r0, r1)
+            streams.release(r0, r1)
 
 
-def _draw_chunk(bitgens, held, step_lo, step_hi, m_buf, code_buf, params, last):
+def _draw_chunk(streams, step_lo, step_hi, m_buf, code_buf, params, last):
     """Draw steps [step_lo, step_hi] into the step-major buffers (row k = step step_lo + k).
 
     The steps are one draw chunk, or from step_lo = 1 chunk 0 (step 1, which
@@ -477,10 +465,10 @@ def _draw_chunk(bitgens, held, step_lo, step_hi, m_buf, code_buf, params, last):
         flips = np.full(width if twod > 2 else 0, twod - 1, dtype=np.uint64)
         segments += [highs, width, flips]
     width = step_hi - step_lo + 1
-    block = min(len(held), _DECODE_BLOCK)
+    block = min(len(streams.held), _DECODE_BLOCK)
     repeats = np.empty((block, width), dtype=bool)
     codes = np.empty((block, width), dtype=code_buf.dtype)
-    for cols, values in _decoded_blocks(bitgens, held, segments, last):
+    for cols, values in _decoded_blocks(streams, segments, last):
         G = len(values[1])
         for (lo, hi, bound), m, raw, j in zip(chunks, values[0::3], values[1::3], values[2::3]):
             rows = slice(lo - step_lo, hi - step_lo + 1)
@@ -542,10 +530,10 @@ def simulate_replicas(
     n = check_integer("horizon n", n, 1, MAX_STEPS)
     R = check_integer("replicas", replicas, 1)
     master_seed = check_integer("master_seed", master_seed, 0, 2**64 - 1)
-    times = sorted({check_integer("snapshot times", t, 1, n) for t in snapshot_times})
+    times = sorted({check_integer("snapshot times", t, 1, n)
+                    for t in check_sequence("snapshot times", snapshot_times)})
     time_slot = {t: i for i, t in enumerate(times)}
-    bitgens = _Substreams(master_seed, R)
-    held = np.full(R, -1, dtype=np.int64)
+    streams = _Substreams(master_seed, R)
 
     colour = np.uint8 if twod <= 127 else np.uint32
     # draws stay below n and CDF rows at most n; signed, as m = -1 marks step 1
@@ -563,7 +551,7 @@ def simulate_replicas(
     while step <= n:
         # the first pass draws chunk 0 (step 1 alone) and chunk 1 together
         hi = min(n, step + CHUNK_STEPS - (step > 1))
-        width = _draw_chunk(bitgens, held, step, hi, m_buf, code_buf, params, hi == n)
+        width = _draw_chunk(streams, step, hi, m_buf, code_buf, params, hi == n)
         for k in range(width):
             # the rows c >= r, as m < cdf[c] iff r <= c
             np.less(m_buf[k], cdf, out=mask)

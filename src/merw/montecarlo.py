@@ -142,8 +142,7 @@ class VerificationReport:
         return lines
 
 
-def _checks(names, expected, observed, se, rel_floor=0.0, gating=True,
-            note="") -> list[CheckResult]:
+def _checks(names, expected, observed, se, rel_floor=0.0, note="") -> list[CheckResult]:
     """One gated comparison per name, over arrays that broadcast together, in C order.
 
     A comparison passes when |observed - expected| <= max(4 se, rel_floor *
@@ -160,7 +159,7 @@ def _checks(names, expected, observed, se, rel_floor=0.0, gating=True,
     # tuple.__new__ builds each record in C; the strict zip gives every one its eight fields
     return list(map(tuple.__new__, repeat(CheckResult), zip(
         names, observed.tolist(), expected.tolist(), tol.tolist(),
-        np.where(defined, z, None).tolist(), passed.tolist(), repeat(gating, k), repeat(note, k),
+        np.where(defined, z, None).tolist(), passed.tolist(), repeat(True, k), repeat(note, k),
         strict=True)))
 
 

@@ -42,6 +42,16 @@ def check_integer(name: str, value, lo: int, hi: int | None = None) -> int:
     return int(value)
 
 
+def check_sequence(name: str, value) -> tuple:
+    """``value``'s items as a tuple, if it is an iterable other than a string."""
+    if not isinstance(value, (str, bytes)):
+        try:
+            return tuple(value)
+        except TypeError:
+            pass
+    raise ParameterError(f"{name}: expected a sequence, got {value!r}")
+
+
 def check_budget(replicas: int, n: int, budget: int) -> None:
     """Raise :class:`BudgetError` when ``replicas`` runs of n steps exceed the budget (>= 1)."""
     budget = check_integer("step budget", budget, 1)

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .params import ModelParams, ParameterError, RegimeError, check_integer
+from .params import ModelParams, ParameterError, RegimeError, check_integer, check_sequence
 from .urn import first_colour_law, project_counts, second_eigenvalue
 
 DIFFUSIVE = "diffusive"
@@ -99,7 +99,7 @@ def _ordered(s, t) -> tuple[np.ndarray, np.ndarray]:
     # each pair of times as (earlier, later), float64 arrays of the broadcast shape
     s, t = np.broadcast_arrays(np.asarray(s, dtype=np.float64), np.asarray(t, dtype=np.float64))
     if not np.all((0 < s) & (s < math.inf) & (0 < t) & (t < math.inf)):
-        raise ValueError(f"times must be positive and finite, got s={s}, t={t}")
+        raise ParameterError(f"times must be positive and finite, got s={s}, t={t}")
     return np.minimum(s, t), np.maximum(s, t)
 
 
@@ -145,7 +145,8 @@ def cm_covariance(params: ModelParams) -> np.ndarray:
 def _mean_scan(params: ModelParams, times) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # gamma_t = prod_{k<t} (1 + alpha/k) and sum_{s<=t} gamma_s at the times, and E[S_1];
     # at alpha = -1 the k = 1 factor is 0, so gamma_t = 0 from t = 2 on
-    at = np.array([check_integer("times", t, 1) for t in times], dtype=np.int64)
+    at = np.array([check_integer("times", t, 1) for t in check_sequence("times", times)],
+                  dtype=np.int64)
     if not at.size or np.any(at[1:] <= at[:-1]):
         raise ParameterError(f"times: expected a nonempty increasing sequence, got {times!r}")
     alpha, g, s = memory_exponent(params), 1.0, 1.0  # g, s: gamma and sum before the block

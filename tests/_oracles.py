@@ -6,7 +6,8 @@ the moment recursion propagates exact first and second moments of the
 colour counts one drawing at a time, and the urn's limit kernel is built
 with a numerical matrix exponential, from which the pairing map must give
 the walk kernels.  The mean growth gamma_t and its running sum come from a
-50-digit decimal recursion.
+50-digit decimal recursion.  Replica r's substream is defined through numpy's
+own ``SeedSequence``, which the simulator's vectorized keys must equal.
 """
 
 import math
@@ -179,12 +180,19 @@ def walk_mean_cov(d, p, q, n):
     return mean, cov
 
 
+def seed_sequence_generator(master_seed, replica):
+    """Replica ``replica``'s substream by definition: Philox keyed by SeedSequence(seed, (r,))."""
+    return np.random.Generator(
+        np.random.Philox(np.random.SeedSequence(master_seed, spawn_key=(replica,)))
+    )
+
+
 def lockstep_replicas(
     d, p, q, n, snapshot_times, master_seed, replicas, track_center_of_mass=False, chunk_steps=1024
 ):
     """Reference ensemble drawn through numpy's ``Generator`` calls, one replica row at a time.
 
-    Replica r draws from Philox keyed by SeedSequence(master_seed, spawn_key=(r,)):
+    Replica r draws from ``seed_sequence_generator(master_seed, r)``:
     step 1 takes ``random()`` then ``integers(0, 2d-1)``; each chunk of up to
     ``chunk_steps`` later steps takes ``integers(0, highs)`` (highs = the step
     count before each step), ``random(width)`` and ``integers(0, 2d-1, size=width)``.
@@ -197,10 +205,7 @@ def lockstep_replicas(
     time_slot = {t: i for i, t in enumerate(times)}
     R = replicas
     rows = np.arange(R)
-    generators = [
-        np.random.Generator(np.random.Philox(np.random.SeedSequence(master_seed, spawn_key=(r,))))
-        for r in range(R)
-    ]
+    generators = [seed_sequence_generator(master_seed, r) for r in range(R)]
     counts = np.zeros((R, twod), dtype=np.int64)
     position = np.zeros((R, d), dtype=np.int64)
     out = np.zeros((R, len(times), d), dtype=np.int64)

@@ -5,7 +5,8 @@ rules; these tests compare it with the per-replica ``Generator`` lockstep
 reference (``tests._oracles.lockstep_replicas``) and its decoder with
 ``Generator.integers``/``random`` on the same substreams.  The simulator keys
 each replica's Philox from ``replica_keys``, a vectorized ``SeedSequence``;
-``replica_generator`` without a key is the definition it is compared with.
+``tests._oracles.seed_sequence_generator`` is the definition it is compared
+with.
 """
 
 import os
@@ -24,13 +25,14 @@ from merw.ensemble import (
     CHUNK_STEPS,
     _decoded_blocks,
     _key_seed_type,
+    _Substreams,
     replica_generator,
     replica_keys,
     simulate_replicas,
 )
 from merw.params import ModelParams, ParameterError
 
-from tests._oracles import lockstep_replicas
+from tests._oracles import lockstep_replicas, seed_sequence_generator
 
 ALMOST_ONE = f"{2**40 - 1}/{2**40}"
 
@@ -114,10 +116,10 @@ def test_decoder_matches_numpy_where_half_the_draws_reject(monkeypatch):
     # and without a held half
     R, seed = 2 * _DECODE_BLOCK + 44, 77  # two full decode blocks and a partial one
     rng = np.random.default_rng(5)
-    keys = replica_keys(seed, np.arange(R))
-    bitgens = [replica_generator(seed, r, key).bit_generator for r, key in enumerate(keys)]
-    reference = [replica_generator(seed, r) for r in range(R)]
-    held = np.full(R, -1, dtype=np.int64)
+    streams = _Substreams(seed, R)
+    bitgens = [streams[r] for r in range(R)]
+    reference = [seed_sequence_generator(seed, r) for r in range(R)]
+    held = streams.held
     replica = {id(bitgen): r for r, bitgen in enumerate(bitgens)}
     redrawn = []
     real = merw.ensemble._redraw
@@ -135,7 +137,7 @@ def test_decoder_matches_numpy_where_half_the_draws_reject(monkeypatch):
         highs = rng.integers(2**31, 2**32, size=size, dtype=np.uint64)
         segments = [highs, 2, np.full(3, 5, dtype=np.uint64)]
         got = [np.zeros((R, size), np.uint64), np.zeros((R, 2), np.uint64), np.zeros((R, 3), np.uint64)]
-        for cols, values in _decoded_blocks(bitgens, held, segments):
+        for cols, values in _decoded_blocks(streams, segments):
             for out, part in zip(got, values):
                 out[cols] = part
         starts.update(start[r] for r in redrawn)
@@ -170,9 +172,9 @@ def test_draw_chunks_0_and_1_are_one_pass(monkeypatch, n, passes):
     calls = []
     real = merw.ensemble._draw_chunk
 
-    def counting(bitgens, held, step_lo, step_hi, *args):
+    def counting(streams, step_lo, step_hi, *args):
         calls.append((step_lo, step_hi))
-        return real(bitgens, held, step_lo, step_hi, *args)
+        return real(streams, step_lo, step_hi, *args)
 
     monkeypatch.setattr(merw.ensemble, "_draw_chunk", counting)
     simulate_replicas(ModelParams(2, "1/2"), n, [n], 1, 3)
@@ -202,14 +204,15 @@ def test_substream_state_equals_seed_sequence_philox(replica):
     # counter, key, buffer and pending half: the whole Philox state, before any draw
     seed = 2024
     key = replica_keys(seed, np.array([replica], dtype=np.uint64))[0]
-    want = np.random.Philox(np.random.SeedSequence(seed, spawn_key=(replica,))).state
-    for gen in (replica_generator(seed, replica, key), replica_generator(seed, replica)):
-        got = gen.bit_generator.state
-        for field in ("counter", "key"):
-            np.testing.assert_array_equal(got["state"][field], want["state"][field])
-        for field in ("buffer_pos", "has_uint32", "uinteger"):
-            assert got[field] == want[field]
-        gen.bit_generator.random_raw(3)
+    want = seed_sequence_generator(seed, replica).bit_generator.state
+    bitgen = replica_generator(key)
+    assert type(bitgen) is np.random.Philox
+    got = bitgen.state
+    for field in ("counter", "key"):
+        np.testing.assert_array_equal(got["state"][field], want["state"][field])
+    for field in ("buffer_pos", "has_uint32", "uinteger"):
+        assert got[field] == want[field]
+    bitgen.random_raw(3)
     np.testing.assert_array_equal(_ZERO_COUNTER, np.zeros(4, dtype=np.uint64))
 
 
@@ -217,8 +220,8 @@ def test_key_seed_hands_philox_its_key_and_nothing_else():
     key = replica_keys(5, np.arange(4))[3]
     seed = _key_seed_type()(key)
     np.testing.assert_array_equal(
-        replica_generator(5, 3, key).bit_generator.random_raw(8),
-        replica_generator(5, 3).bit_generator.random_raw(8),
+        replica_generator(key).random_raw(8),
+        seed_sequence_generator(5, 3).bit_generator.random_raw(8),
     )
     for n_words, dtype in ((2, np.uint32), (4, np.uint32), (1, np.uint64), (4, np.uint64)):
         with pytest.raises(ValueError):
@@ -236,7 +239,7 @@ def test_simulate_replicas_builds_no_seed_sequence(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(np.random, "SeedSequence", counting)
-    replica_generator(9, 0)  # the wrapper sees the definition's own construction
+    seed_sequence_generator(9, 0)  # the wrapper sees the definition's own construction
     assert len(calls) == 1
     calls.clear()
     simulate_replicas(ModelParams(2, "1/2"), 3, [3], 9, 1000)

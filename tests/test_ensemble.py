@@ -54,6 +54,20 @@ def test_config_grid_validation():
         make_cfg(snapshot_fractions=(0.001,), n=50)
 
 
+@pytest.mark.parametrize("field, grid", [
+    ("snapshot_fractions", 0.5), ("exponent_times", 1.0),
+    ("snapshot_fractions", "0.5"), ("snapshot_fractions", "1"),  # "1" is no grid of (1.0,)
+], ids=["fraction-scalar", "exponent-scalar", "fraction-string", "fraction-string-1"])
+def test_config_refuses_a_scalar_or_string_grid(field, grid):
+    with pytest.raises(ParameterError, match=f"^{field}: expected a sequence"):
+        make_cfg(**{"snapshot_fractions": None, field: grid})
+
+
+def test_grid_times_refuses_a_scalar_grid():
+    with pytest.raises(ParameterError, match="^snapshot grid: expected a sequence"):
+        grid_times(0.5, 10)
+
+
 def test_config_rejects_grid_values_with_one_time():
     with pytest.raises(ParameterError, match="0.51 and 0.55 both give time 5"):
         make_cfg(snapshot_fractions=(0.51, 0.55), n=10)
@@ -126,10 +140,11 @@ def test_replica_streams_do_not_depend_on_ensemble_size():
         (dict(master_seed=-1), "master_seed"),
         (dict(master_seed=2**64), "master_seed"),
         (dict(snapshot_times=[2.7]), "snapshot times"),
+        (dict(snapshot_times=5), "snapshot times: expected a sequence"),
         # a bad seed too, so that code without the horizon check fails fast
         (dict(n=2**31, master_seed=-1), "horizon"),
     ],
-    ids=["replicas-0", "n-0", "seed-negative", "seed-2^64", "time-2.7", "n-2^31"],
+    ids=["replicas-0", "n-0", "seed-negative", "seed-2^64", "time-2.7", "time-scalar", "n-2^31"],
 )
 def test_simulate_replicas_rejects_invalid_input(overrides, match):
     args = dict(params=ModelParams(2, "1/2"), n=10, snapshot_times=[], master_seed=1, replicas=3)

@@ -131,6 +131,17 @@ def test_kernels_refuse_non_finite_times(bad):
                 kernel(params, s, t)
 
 
+def test_kernels_refuse_bad_times_with_a_parameter_error():
+    kernels = [
+        (diffusive_covariance, ModelParams(1, "1/2")),
+        (critical_covariance, ModelParams(1, "3/4")),
+    ]
+    for kernel, params in kernels:
+        for s in (0.0, -1.0, math.nan):
+            with pytest.raises(ParameterError, match="positive and finite"):
+                kernel(params, s, 1.0)
+
+
 # ------------------------------------- walk kernels against the urn's kernel
 
 def test_sigma_I_projects_to_walk_variance():
@@ -370,6 +381,12 @@ def test_drifts_refuse_non_integer_horizons(n):
             cm_mean_drift(params, n)
 
 
+@pytest.mark.parametrize("times", [5, None, 2.5, "35"])
+def test_mean_drift_refuses_times_that_are_no_sequence(times):
+    with pytest.raises(ParameterError, match="^times: expected a sequence"):
+        mean_drift(ModelParams(2, 0.6, 0.7), times)
+
+
 # ------------------------------------------------------------- public names
 
 def test_public_names_resolve_and_the_covariance_spec_is_gone():
@@ -410,3 +427,52 @@ def test_every_src_definition_is_used_or_exported():
                  "lambda2_eigenspace_basis"):
         for module in (merw, merw.theory, merw.urn):
             assert not hasattr(module, name), f"{module.__name__}.{name}"
+
+
+def test_every_src_keyword_parameter_is_passed():
+    # a parameter with a default that no src call passes, by keyword or by position,
+    # only ever takes its default in src; the public API (merw.__all__), the console
+    # script's cli.main and the KeySeed.generate_state that numpy calls are exempt
+    import merw
+
+    defs, calls = [], []
+
+    def visit(node, module, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defs.append((module, owner, child))
+                visit(child, module, child.name)
+            else:
+                visit(child, module, child.name if isinstance(child, ast.ClassDef) else owner)
+
+    for path in sorted(Path(merw.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        visit(tree, path.stem, None)
+        calls += [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
+
+    def called(call, fn):
+        f = call.func
+        return (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) == fn.name
+
+    exempt = {"cli.main", "ensemble.KeySeed.generate_state"}
+    unpassed = []
+    for module, owner, fn in defs:
+        qualname = f"{owner}.{fn.name}" if owner else fn.name
+        if {owner, fn.name} & set(merw.__all__) or f"{module}.{qualname}" in exempt:
+            continue
+        args = fn.args
+        positional = args.posonlyargs + args.args
+        defaulted = positional[len(positional) - len(args.defaults):] + [
+            arg for arg, default in zip(args.kwonlyargs, args.kw_defaults) if default is not None]
+        # a method called through an attribute gets self or cls before its first argument
+        shift = int(bool(owner) and bool(positional) and positional[0].arg in ("self", "cls"))
+        for arg in defaulted:
+            index = positional.index(arg) if arg in positional else math.inf
+            if not any(
+                any(k.arg in (arg.arg, None) for k in call.keywords)
+                or len(call.args) + (shift and isinstance(call.func, ast.Attribute)) > index
+                or any(isinstance(a, ast.Starred) for a in call.args)
+                for call in calls if called(call, fn)
+            ):
+                unpassed.append(f"{module}.{qualname}: {arg.arg}")
+    assert unpassed == []

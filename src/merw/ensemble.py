@@ -14,10 +14,10 @@ type, and one uint8 step code (uint32 from 2d = 128 colours on), the flip
 draw j, or all ones where the step repeats; so a draw pass holds 3 bytes per
 replica-step while n < 2^15 and 2d < 128.  Step 1 is the kernel's step that
 remembers colour 0 (m = -1) and repeats it with probability q.
-Positions are formed only at snapshot times, and the centre of mass from the
-CDF's running sum, both projected in place: the colour counts are written
-into one (2d, R) array, and their pairwise differences straight into the
-snapshot's (d, R) slot.
+Positions are formed only at snapshot times, and the centre of mass (for its
+battery alone) from the CDF's running sum, both projected in place: the
+colour counts are written into one (2d, R) array, and their pairwise
+differences straight into the snapshot's (d, R) slot.
 
 Replica r draws from its own Philox substream keyed by (master_seed, r), so
 results do not depend on how work is batched and rerunning a configuration
@@ -61,7 +61,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .params import ModelParams, ParameterError, check_budget, check_integer, check_sequence
+from .params import (ModelParams, ParameterError, check_budget, check_integer, check_reals,
+                     check_sequence)
 from .urn import project_counts
 
 #: Steps prefetched per chunk.  Part of the determinism contract: changing it
@@ -196,7 +197,7 @@ def grid_times(grid: Sequence[float], n: int, exponent: bool = False) -> tuple[i
     least 1, and no two of its values may give the same time, so the times
     are strictly increasing too.
     """
-    grid = tuple(float(g) for g in check_sequence("snapshot grid", grid))
+    grid = check_reals("snapshot grid", grid)
     if not grid:
         raise ParameterError("the snapshot grid must not be empty")
     if any(not 0.0 < g <= 1.0 for g in grid):
@@ -237,7 +238,6 @@ class EnsembleConfig:
     n: int
     snapshot_fractions: tuple[float, ...] | None = None
     exponent_times: tuple[float, ...] | None = None
-    track_center_of_mass: bool = False
     step_budget: int = DEFAULT_STEP_BUDGET
 
     def __post_init__(self):
@@ -250,8 +250,7 @@ class EnsembleConfig:
                 "exactly one of snapshot_fractions and exponent_times must be given"
             )
         field_name = "exponent_times" if self.snapshot_fractions is None else "snapshot_fractions"
-        grid = check_sequence(field_name, getattr(self, field_name))
-        object.__setattr__(self, field_name, tuple(float(g) for g in grid))
+        object.__setattr__(self, field_name, check_reals(field_name, getattr(self, field_name)))
         self.snapshot_times()  # validates the grid
 
     def snapshot_times(self) -> tuple[int, ...]:
@@ -263,25 +262,19 @@ class EnsembleConfig:
 
 @dataclass
 class EnsembleSummary:
-    """Moments of snapshot positions across replicas, plus the raw positions.
+    """Position moments of the snapshots across replicas, plus the raw positions.
 
-    ``mean_position``, ``position_cov`` and ``mean_se`` are raw (integer
-    position) moments: shape (T, d), (T, T, d, d) and (T, d); verification
-    layers apply the regime-appropriate normalization.  ``positions`` holds the
-    raw snapshot positions as an (R, T, d) view of a (T, d, R) array.
+    ``mean_position`` (T, d), ``position_cov`` (T, T, d, d) and ``mean_se``
+    (T, d) are raw integer-position moments at the T ``times``, normalized by
+    the verification layers; ``positions`` is an (R, T, d) view of a (T, d, R)
+    array.  The centre of mass is left to its battery.
     """
 
-    params: ModelParams
-    n: int
-    replicas: int
-    master_seed: int
     times: tuple[int, ...]
     mean_position: np.ndarray
     position_cov: np.ndarray
     mean_se: np.ndarray
     positions: np.ndarray
-    cm_mean: np.ndarray | None = None
-    cm_cov: np.ndarray | None = None
 
 
 def _plan(segments, pending: int):
@@ -598,14 +591,7 @@ def run_ensemble(cfg: EnsembleConfig) -> EnsembleSummary:
     Deterministic given the configuration.
     """
     times = cfg.snapshot_times()
-    positions, cm = simulate_replicas(
-        cfg.params,
-        cfg.n,
-        times,
-        cfg.master_seed,
-        cfg.replicas,
-        track_center_of_mass=cfg.track_center_of_mass,
-    )
+    positions, _ = simulate_replicas(cfg.params, cfg.n, times, cfg.master_seed, cfg.replicas)
     R = cfg.replicas
     sums = positions.sum(axis=0)  # (T, d) int64, exact
     mean = sums / R
@@ -615,22 +601,4 @@ def run_ensemble(cfg: EnsembleConfig) -> EnsembleSummary:
     cov = (cross - outer) / (R - 1)
     var_diag = np.einsum("ttii->ti", cov)
     se = np.sqrt(np.maximum(var_diag, 0.0) / R)
-    cm_mean = cm_cov = None
-    if cm is not None:
-        g = cm / cfg.n
-        cm_mean = g.mean(axis=0)
-        centered = g - cm_mean
-        cm_cov = centered.T @ centered / (R - 1)
-    return EnsembleSummary(
-        params=cfg.params,
-        n=cfg.n,
-        replicas=R,
-        master_seed=cfg.master_seed,
-        times=times,
-        mean_position=mean,
-        position_cov=cov,
-        mean_se=se,
-        positions=positions,
-        cm_mean=cm_mean,
-        cm_cov=cm_cov,
-    )
+    return EnsembleSummary(times, mean, cov, se, positions)

@@ -14,11 +14,12 @@ Standard errors use normal-theory approximations (variance SE of
 v*sqrt(2/(R-1)), covariance SE from the bivariate-normal formula), which is
 adequate for the Gaussian-limit statistics under test.  The diffusive CLT and
 the critical Brownian limit share one check body and differ only in kernel,
-time scale and normalization.  That body and the centre-of-mass battery gate
-each family of statistics (variances, means, cross-axis and cross-time
-covariances, increments) as one array over snapshots, time pairs or axes,
-with the :mod:`merw.theory` kernel called on the snapshots and on the time
-pairs; elementwise float64 arithmetic gives the same bytes as one check at a
+time scale and normalization.  That body and the centre-of-mass battery (one
+snapshot, G_n at n) build their variance, mean and cross-axis checks in one
+function, and gate each family of statistics (those, cross-time covariances,
+increments) as one array over snapshots, time pairs or axes, with the
+:mod:`merw.theory` kernel called on the snapshots and on the time pairs;
+elementwise float64 arithmetic gives the same bytes as one check at a
 time.  Superdiffusive checks use ratio statistics so that nothing needs to be
 known about the law of the non-Gaussian limit.  The SLLN and superdiffusive
 batteries share one ladder statistic, whose ratios leave out a ladder median
@@ -35,14 +36,14 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from . import theory
-from .ensemble import DEFAULT_STEP_BUDGET, EnsembleConfig, run_ensemble
+from .ensemble import DEFAULT_STEP_BUDGET, EnsembleConfig, run_ensemble, simulate_replicas
 from .params import ModelParams, ParameterError, RegimeError
 from .theory import RegimeReport, classify_regime
 
@@ -192,6 +193,33 @@ def _finish(theorem, regime, cfg, checks, t0, notes=None, extras=None) -> Verifi
     )
 
 
+def _snapshot_checks(labels, cov, var_expected, var_floor, drift, mean, mean_se, R,
+                     var_note="", prefix="") -> list[CheckResult]:
+    """Per-snapshot checks: variance and mean axis by axis, then the cross-axis covariances.
+
+    Snapshot k has the normalized (d, d) covariance ``cov[k]`` and the name
+    text ``labels[k]`` before its axis, after ``prefix``; ``var_expected``,
+    ``drift``, ``mean`` and ``mean_se`` are (T, d).  Only variances have a floor.
+    """
+    d = cov.shape[-1]
+    a, b = np.triu_indices(d, 1)  # axis pairs in itertools.combinations order
+    var, c_emp = np.diagonal(cov, 0, 1, 2), cov[:, a, b]
+    var_checks = _checks(
+        [f"{prefix}var[{label}axis={x}]" for label in labels for x in range(d)],
+        var_expected, var, _variance_se(var, R), var_floor, note=var_note)
+    mean_checks = _checks(
+        [f"{prefix}mean[{label}axis={x}]" for label in labels for x in range(d)],
+        drift, mean, mean_se, note="centered at the exact finite-time mean")
+    axis_checks = _checks(
+        [f"{prefix}cross_axis[{label}axes=({x},{y})]" for label in labels
+         for x, y in zip(a.tolist(), b.tolist())],
+        0.0, c_emp, _covariance_se(var[:, a], var[:, b], c_emp, R))
+    per_axis = [c for both in zip(var_checks, mean_checks) for c in both]
+    Q = len(a)
+    return [c for k in range(len(labels))
+            for c in per_axis[2 * d * k:2 * d * (k + 1)] + axis_checks[Q * k:Q * (k + 1)]]
+
+
 def _gaussian_checks(cfg, summary, kernel, eff, mean_div, var_div, pair_div, floors,
                      var_note="", increments=False) -> list[CheckResult]:
     """Checks of a Gaussian limit whose covariance is a factor times I_d.
@@ -205,8 +233,8 @@ def _gaussian_checks(cfg, summary, kernel, eff, mean_div, var_div, pair_div, flo
     variance and cross-time gates.  With ``increments``, each cross-time
     check is followed by one of the decorrelation of the increment from its
     start.  Every statistic is one (T, d), (T, axis pairs) or (time pairs, d)
-    array; the checks come out snapshot by snapshot, then time pair by time
-    pair, each axis by axis.
+    array; the checks come out snapshot by snapshot (:func:`_snapshot_checks`),
+    then time pair by time pair, each axis by axis.
     """
     params, R, d = cfg.params, cfg.replicas, cfg.params.d
     key = "s" if cfg.snapshot_fractions is not None else "t"
@@ -215,7 +243,6 @@ def _gaussian_checks(cfg, summary, kernel, eff, mean_div, var_div, pair_div, flo
     var_floor, cross_floor = floors
     snap, axis = np.arange(T), np.arange(d)
     i, j = np.triu_indices(T, 1)  # time pairs in itertools.combinations order
-    a, b = np.triu_indices(d, 1)  # axis pairs, likewise
     eff = np.asarray(eff, dtype=np.float64)
     mean_div = np.broadcast_to(mean_div, (T,))[:, None]
     cov = summary.position_cov
@@ -223,24 +250,13 @@ def _gaussian_checks(cfg, summary, kernel, eff, mean_div, var_div, pair_div, flo
     var = cov_k[:, axis, axis]
     cross = cov[i, j][:, axis, axis] / np.broadcast_to(pair_div, (T, T))[i, j][:, None]
     v_s, v_t = var[i], var[j]
-    drift = theory.mean_drift(params, summary.times) / mean_div
 
     text = [str(g) for g in grid]  # as an f-string formats them, once per value
-    snapshots = [f"{key}={g}" for g in text]
     pairs = [f"(s,t)=({text[x]},{text[y]})" for x, y in zip(i.tolist(), j.tolist())]
-    var_checks = _checks(
-        [f"var[{label}, axis={x}]" for label in snapshots for x in range(d)],
-        kernel(params, eff, eff)[:, axis, axis], var, _variance_se(var, R), var_floor,
-        note=var_note)
-    mean_checks = _checks(
-        [f"mean[{label}, axis={x}]" for label in snapshots for x in range(d)],
-        drift, summary.mean_position / mean_div, summary.mean_se / mean_div,
-        note="centered at the exact finite-time mean")
-    c_emp = cov_k[:, a, b]
-    axis_checks = _checks(
-        [f"cross_axis[{label}, axes=({x},{y})]" for label in snapshots
-         for x, y in zip(a.tolist(), b.tolist())],
-        0.0, c_emp, _covariance_se(var[:, a], var[:, b], c_emp, R))
+    snapshot_checks = _snapshot_checks(
+        [f"{key}={g}, " for g in text], cov_k, kernel(params, eff, eff)[:, axis, axis],
+        var_floor, theory.mean_drift(params, summary.times) / mean_div,
+        summary.mean_position / mean_div, summary.mean_se / mean_div, R, var_note=var_note)
     time_checks = _checks(
         [f"cross_time[{pair}, axis={x}]" for pair in pairs for x in range(d)],
         kernel(params, eff[i], eff[j])[:, axis, axis], cross, _covariance_se(v_s, v_t, cross, R),
@@ -253,13 +269,7 @@ def _gaussian_checks(cfg, summary, kernel, eff, mean_div, var_div, pair_div, flo
             0.0, inc, _covariance_se(v_diff, v_s, inc, R),
             note="cov(Z_t - Z_s, Z_s); of order 1/s at finite n, 0 in the limit")
         time_checks = [c for both in zip(time_checks, inc_checks) for c in both]
-
-    per_axis = [c for both in zip(var_checks, mean_checks) for c in both]
-    Q = len(a)
-    checks: list[CheckResult] = []
-    for k in range(T):
-        checks += per_axis[2 * d * k:2 * d * (k + 1)] + axis_checks[Q * k:Q * (k + 1)]
-    return checks + time_checks
+    return snapshot_checks + time_checks
 
 
 def _median_ratios(medians: np.ndarray) -> tuple[np.ndarray, str]:
@@ -311,29 +321,22 @@ def verify_diffusive_clt(cfg: EnsembleConfig) -> VerificationReport:
 
 
 def verify_center_of_mass(cfg: EnsembleConfig) -> VerificationReport:
-    """Gaussian limit of the center of mass G_n/sqrt(n) in the diffusive regime."""
+    """Gaussian limit of the center of mass G_n/sqrt(n) in the diffusive regime.
+
+    G_n is taken at n, simulated here; the snapshot grid is checked but not read."""
     t0 = time.perf_counter()
     report = BATTERIES["cm"].check(cfg)
-    if not cfg.track_center_of_mass:
-        cfg = replace(cfg, track_center_of_mass=True)
-    summary = run_ensemble(cfg)
     params, n, R = cfg.params, cfg.n, cfg.replicas
-    axis = np.arange(params.d)
-    a, b = np.triu_indices(params.d, 1)
+    _, sums = simulate_replicas(params, n, (), cfg.master_seed, R, track_center_of_mass=True)
+    g = sums / n
+    g_mean = g.mean(axis=0)
+    centered = g - g_mean
+    cov_n = centered.T @ centered / (R - 1) / n
     sqrt_n = math.sqrt(n)
-    cov_n = summary.cm_cov / n
-    var, c_emp = cov_n[axis, axis], cov_n[a, b]
-    var_checks = _checks(
-        [f"cm_var[axis={x}]" for x in axis.tolist()], theory.cm_covariance(params)[axis, axis],
-        var, _variance_se(var, R), REL_FLOOR_VARIANCE)
-    mean_checks = _checks(
-        [f"cm_mean[axis={x}]" for x in axis.tolist()], theory.cm_mean_drift(params, n) / sqrt_n,
-        summary.cm_mean / sqrt_n, np.sqrt(np.maximum(var, 0.0) / R),
-        note="centered at the exact finite-time mean")
-    axis_checks = _checks(
-        [f"cm_cross_axis[axes=({x},{y})]" for x, y in zip(a.tolist(), b.tolist())],
-        0.0, c_emp, _covariance_se(var[a], var[b], c_emp, R))
-    checks = [c for both in zip(var_checks, mean_checks) for c in both] + axis_checks
+    checks = _snapshot_checks(
+        [""], cov_n[None], np.diagonal(theory.cm_covariance(params))[None], REL_FLOOR_VARIANCE,
+        theory.cm_mean_drift(params, n)[None] / sqrt_n, g_mean[None] / sqrt_n,
+        np.sqrt(np.maximum(np.diagonal(cov_n), 0.0) / R)[None], R, prefix="cm_")
     return _finish("center_of_mass", report.regime, cfg, checks, t0)
 
 

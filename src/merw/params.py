@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Integral
+from numbers import Integral, Real
 from typing import Union
 
 ProbabilityLike = Union[float, str, Fraction]
@@ -50,6 +50,15 @@ def check_sequence(name: str, value) -> tuple:
         except TypeError:
             pass
     raise ParameterError(f"{name}: expected a sequence, got {value!r}")
+
+
+def check_reals(name: str, value) -> tuple[float, ...]:
+    """``value``'s items as floats, if it is a sequence of real numbers other than bools."""
+    items = check_sequence(name, value)
+    for x in items:
+        if isinstance(x, bool) or not isinstance(x, Real):
+            raise ParameterError(f"{name}: expected real numbers, got {x!r}")
+    return tuple(map(float, items))
 
 
 def check_budget(replicas: int, n: int, budget: int) -> None:

@@ -171,7 +171,6 @@ def test_center_of_mass_battery_passes():
         master_seed=17,
         n=4000,
         snapshot_fractions=(1.0,),
-        track_center_of_mass=True,
     )
     report = verify_center_of_mass(cfg)
     assert report.passed
@@ -188,6 +187,19 @@ def test_center_of_mass_enables_tracking_itself():
     )
     report = verify_center_of_mass(cfg)
     assert any("cm_var" in c.name for c in report.checks)
+
+
+def test_center_of_mass_simulates_g_n_itself_and_reads_no_grid(monkeypatch):
+    monkeypatch.setattr(montecarlo, "run_ensemble", None)  # the battery needs no summary
+    cfg = BATTERIES["cm"].config(ModelParams(2, "1/2"), 18, n=500, replicas=500)
+    report = verify_center_of_mass(cfg)
+    assert [c.name for c in report.checks] == [
+        "cm_var[axis=0]", "cm_mean[axis=0]", "cm_var[axis=1]", "cm_mean[axis=1]",
+        "cm_cross_axis[axes=(0,1)]"]
+    # G_n is taken at n whatever the grid
+    grid = BATTERIES["cm"].config(ModelParams(2, "1/2"), 18, n=500, replicas=500,
+                                  snapshot_fractions=(0.25, 0.5, 1.0))
+    assert verify_center_of_mass(grid).checks == report.checks
 
 
 # ------------------------------------------------------------ regime gates

@@ -24,11 +24,10 @@ results do not depend on how work is batched and rerunning a configuration
 reproduces every path bit for bit.  The key is numpy's ``SeedSequence(
 master_seed, spawn_key=(r,))`` state, computed for all replicas in one pass
 by ``replica_keys``.  ``_Substreams`` owns each replica's place in its
-stream: the replica's Philox, built by ``replica_generator`` from its key
-row when its decode block is first drawn and dropped once the last pass has
-drawn it, carries the counter, and ``_Substreams.held`` carries the pending
-32-bit half from the replica's one ``random_raw`` call per draw pass to the
-next.  A one-pass run thus holds one block's generators.
+stream: its key row, its count of words read and its pending 32-bit half,
+carried from the replica's one ``random_raw`` call per draw pass to the
+next.  A run builds one Philox, which ``replica_generator`` re-keys to the
+replica's place through numpy's state setter before each of those calls.
 Draw chunk 0 is step 1 alone, and each later chunk up to ``CHUNK_STEPS``
 steps; the first pass reads chunks 0 and 1, each later pass one chunk, and
 as a replica's words are sequential in one stream no draw changes step.  A
@@ -37,7 +36,7 @@ chunk takes exactly numpy's ``Generator`` calls ``integers(0, highs)``
 and ``integers(0, 2d-1, size=width)``, read as raw Philox words and decoded
 in bulk by numpy's rules (Lemire's bounded integers on 32-bit halves,
 doubles from the top 53 bits) into step-major buffers; a replica whose pass
-meets a rejected draw is rewound to the start of its pass and redrawn by
+meets a rejected draw is set back to the start of its pass and redrawn by
 numpy's own ``Generator``.  ``tests/test_golden.py`` pins digests of the
 sampled paths, so drift in the kernel or in numpy's streams shows.
 
@@ -54,7 +53,6 @@ positions are kept in the summary for median and fraction diagnostics, as an
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -81,19 +79,22 @@ _DECODE_BLOCK = 128
 
 _TWO32 = np.uint64(2**32)
 
-#: Philox's default counter, as the uint64[4] array numpy would otherwise build per call.
-_ZERO_COUNTER = np.zeros(4, dtype=np.uint64)
-_ZERO_COUNTER.flags.writeable = False
 
+def replica_generator(streams, key, words: int = 0) -> np.random.Philox:
+    """Re-key the one Philox of ``streams`` to a replica's substream, ``words`` words in.
 
-def replica_generator(key: np.ndarray) -> np.random.Philox:
-    """One replica's substream: Philox keyed by its row of :func:`replica_keys`.
-
-    The counter, numpy's default zero, is passed as one shared uint64[4]
-    array (Philox copies it), which spares numpy converting a scalar 0 on
-    every build.
+    The substream is Philox keyed by the replica's row of :func:`replica_keys`
+    (as two ints) from numpy's default zero counter.  The state setter is
+    handed ``streams.state`` with that key and the counter of the block that
+    holds word ``words``, and the block's first ``words % 4`` words are read
+    off; no half is left pending.  Returns the Philox.
     """
-    return np.random.Philox(_key_seed_type()(key), counter=_ZERO_COUNTER)
+    state, bitgen = streams.state, streams.bitgen
+    state["state"]["key"], state["state"]["counter"] = key, (words >> 2, 0, 0, 0)
+    bitgen.state = state
+    if words & 3:
+        bitgen.random_raw(words & 3)
+    return bitgen
 
 
 # the constants of numpy's SeedSequence hash (O'Neill's seed_seq_fe)
@@ -157,30 +158,6 @@ def replica_keys(master_seed: int, replicas) -> np.ndarray:
         state[:, i], const = _hashmix(pool[i], const, _MULT_B)
     # numpy's rule: consecutive words, low word first, make one uint64
     return state.astype("<u4").view("<u8").astype(np.uint64)
-
-
-@functools.cache
-def _key_seed_type() -> type:
-    """The seed sequence that hands Philox one precomputed key and nothing else.
-
-    Built on first use, so that importing merw does not import numpy.random.
-    """
-    from numpy.random.bit_generator import ISeedSequence
-
-    class KeySeed(ISeedSequence):
-        __slots__ = ("key",)
-
-        def __init__(self, key: np.ndarray):
-            self.key = key
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            if n_words != 2 or (dtype is not np.uint64 and np.dtype(dtype) != np.uint64):
-                raise ValueError(
-                    f"a replica key is 2 uint64 words, not {n_words} words of {np.dtype(dtype)}"
-                )
-            return self.key
-
-    return KeySeed
 
 
 def _below(probability: float) -> np.uint64:
@@ -296,113 +273,118 @@ def _plan(segments, pending: int):
     return spans, pos
 
 
+def _scratch(segments, rows):
+    """What :func:`_decode` needs per segment: None for raw words, else the
+    rejection limits (uint32), their largest and a product buffer of ``rows`` rows."""
+    limits = [None if isinstance(seg, int) else ((_TWO32 - seg) % seg).astype(np.uint32)
+              for seg in segments]
+    return [None if limit is None else (limit, limit.max(initial=0),
+                                        np.empty((rows, len(limit)), np.uint64))
+            for limit in limits]
+
+
 def _decode(words, held, spans, segments, scratch):
     """Decode the (G, K) uint64 words of replicas that share one pending flag.
 
     ``held`` holds their (G,) pending halves, or is None when they hold none.
     A bounded draw in [0, h) takes a half u and gives (u*h) >> 32; numpy draws
-    again iff (u*h) mod 2^32 < (2^32 - h) mod h.  ``scratch`` holds per
-    bounded segment those limits and a product and a compare buffer of at
-    least G rows.  Returns one (G, len) array per segment (raw words, or the
-    draws as uint32), the rows that met a rejection, whose values must be
-    redrawn, and the pending halves after.
+    again iff (u*h) mod 2^32 < (2^32 - h) mod h.  ``scratch`` (from
+    :func:`_scratch`, of at least G rows) holds per bounded segment those
+    limits, their largest and a product buffer.  A rejection needs the
+    segment's smallest low product to be below its largest limit, so only
+    then are the limits compared draw by draw.  Returns one (G, len) array
+    per segment (raw words, or the draws as uint32), the rows that met a
+    rejection (an array, or False for none), whose values must be redrawn,
+    and the pending halves after.
     """
     G = len(words)
-    rejected = np.zeros(G, dtype=bool)
+    halves = words.astype("<u8", copy=False).view("<u4")  # low half of each word first
+    rejected = False
     values = []
     for (start, stop, pending), seg, buffers in zip(spans, segments, scratch):
-        block = words[:, start:stop]
-        if isinstance(seg, int):
-            values.append(block)
+        if buffers is None:
+            values.append(words[:, start:stop])
             continue
         a = len(seg)
         if not a:
             values.append(np.empty((G, 0), dtype=np.uint32))
             continue
-        halves = block.astype("<u8", copy=False).view("<u4")  # low half of each word first
-        limit, product, below = buffers[0], buffers[1][:G], buffers[2][:G]
+        limit, largest, product = buffers[0], buffers[1], buffers[2][:G]
+        first = 2 * start  # the segment's first half after the pending one
         if pending:
             np.multiply(held, seg[0], out=product[:, 0])
-        np.multiply(halves[:, : a - pending], seg[pending:], out=product[:, pending:])
-        parts = product.astype("<u8", copy=False).view("<u4")
-        rejected |= np.less(parts[:, 0::2], limit, out=below).any(axis=1)
+        np.multiply(halves[:, first:first + a - pending], seg[pending:], out=product[:, pending:])
+        parts = product.view("<u4")
+        low = parts[:, 0::2]
+        if low.min() < largest:
+            rejected = rejected | (low < limit).any(axis=1)
         values.append(parts[:, 1::2])
-        left_over = pending + 2 * (stop - start) > a
-        held = halves[:, a - pending].astype(np.uint64) if left_over else None
+        held = halves[:, first + a - pending] if pending + 2 * (stop - start) > a else None
     return values, rejected, held
 
 
-def _redraw(bitgen, total, held, segments):
+def _redraw(streams, key, words, held, segments):
     """Draw one replica's pass again through numpy's own ``Generator``.
 
-    The replica's stream has just given the pass's ``total`` words, in which
-    the bulk decoder met a rejected draw; ``held`` is its pending half at the
-    start of the pass, -1 for none.  Its Philox is rewound to that start and the
-    segments are drawn as numpy draws them: ``integers(0, highs)``, and the
-    raw words that ``random(width)`` reads.  Returns the values of each
-    segment and the pending half after, -1 for none.
+    The bulk decoder met a rejected draw in the pass, which started ``words``
+    words into the replica's substream (keyed by ``key``) with ``held`` its
+    pending half, -1 for none.  The Philox of ``streams`` is set to that start
+    and the segments are drawn as numpy draws them: ``integers(0, highs)``,
+    and the raw words that ``random(width)`` reads.  Returns the values of
+    each segment, the pending half after (-1 for none) and the words read
+    after.
     """
-    state = bitgen.state
-    counter = state["state"]["counter"]
-    # words read so far: the buffer's block is number counter[0] (from 1), buffer_pos of it read
-    start = 4 * int(counter[0]) + state["buffer_pos"] - 4 - total
-    counter[0] = start // 4  # the low word suffices: a run reads far fewer than 2^64 words
-    state.update(buffer_pos=4, has_uint32=int(held >= 0), uinteger=max(held, 0))
-    bitgen.state = state
-    bitgen.random_raw(start % 4)
+    bitgen = streams.bitgen
+    bitgen.state = {**streams.state, "state": {"counter": (words >> 2, 0, 0, 0), "key": key},
+                    "has_uint32": int(held >= 0), "uinteger": max(held, 0)}
+    bitgen.random_raw(words & 3)
     gen = np.random.Generator(bitgen)
     values = [bitgen.random_raw(seg) if isinstance(seg, int)
               else gen.integers(0, seg, dtype=np.uint64) for seg in segments]
     state = bitgen.state
-    return values, state["uinteger"] if state["has_uint32"] else -1
+    # the buffer holds block number counter[0] (from 1), buffer_pos words of it read
+    read = 4 * int(state["state"]["counter"][0]) + state["buffer_pos"] - 4
+    return values, state["uinteger"] if state["has_uint32"] else -1, read
 
 
 class _Substreams:
-    """Each replica's place in its Philox substream: key, counter and pending half.
+    """Each replica's place in its Philox substream: key, words read and pending half.
 
-    ``keys`` holds the (R, 2) rows of :func:`replica_keys`.  Item r is
-    replica r's Philox, which carries its counter: ``replica_generator``
-    builds it from key row r when first looked up, and ``release(r0, r1)``
-    drops those of replicas that no later pass draws from.  ``held`` (R,)
-    int64 holds each replica's pending 32-bit half, -1 for none.
+    ``keys`` holds the (R, 2) rows of :func:`replica_keys`, ``words`` (R,)
+    int64 the count of words each replica has read, and ``held`` (R,) int64
+    its pending 32-bit half, -1 for none.  ``bitgen`` is the one Philox that
+    :func:`replica_generator` re-keys to each replica in turn (its own seed is
+    never drawn from) through the state dict ``state``.
     """
 
     def __init__(self, master_seed: int, replicas: int):
         self.keys = replica_keys(master_seed, np.arange(replicas))
-        self.bitgens = [None] * replicas
+        self.words = np.zeros(replicas, dtype=np.int64)
         self.held = np.full(replicas, -1, dtype=np.int64)
-
-    def __getitem__(self, r: int):
-        bitgen = self.bitgens[r]
-        if bitgen is None:
-            bitgen = self.bitgens[r] = replica_generator(self.keys[r])
-        return bitgen
-
-    def release(self, r0: int, r1: int) -> None:
-        self.bitgens[r0:r1] = [None] * (r1 - r0)
+        self.bitgen = np.random.Philox(0)
+        self.state = {"bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": (0, 0)},
+                      "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
 
-def _decoded_blocks(streams, segments, last=False):
+def _decoded_blocks(streams, segments):
     """Draw the segments for every replica of ``streams``, a block of replicas at a time.
 
-    Each replica's words come from one ``random_raw`` call on its own stream,
-    sized for no rejection, and its pending half in ``streams.held`` is
+    Each replica's words come from one ``random_raw`` call, sized for no
+    rejection, on the one Philox re-keyed to the replica's place in its
+    substream, and its words read and pending half in ``streams`` are
     updated; the replicas of a block are decoded together per pending flag,
     and a replica that met a rejection is redrawn by numpy's ``Generator``
     from the start of its pass (:func:`_redraw`).  Yields (columns, values):
     the replicas as a slice or an index array, and one array per segment with
     a row for each.  The values are views of buffers that the next block
-    reuses.  When ``last``, no later pass draws from ``streams``, and each
-    block's streams are released once it is drawn.
+    reuses.
     """
-    held = streams.held
+    held, read = streams.held, streams.words
     plans = {pending: _plan(segments, pending) for pending in (0, 1)}
     R = len(held)
     block = min(R, _DECODE_BLOCK)
-    word_buf = np.empty((block, max(total for _, total in plans.values())), dtype=np.uint64)
-    scratch = [None if isinstance(seg, int) else (((_TWO32 - seg) % seg).astype(np.uint32),
-               np.empty((block, len(seg)), np.uint64), np.empty((block, len(seg)), bool))
-               for seg in segments]
+    word_buf = np.empty(block * max(total for _, total in plans.values()), dtype=np.uint64)
+    scratch = _scratch(segments, block)
     for r0 in range(0, R, _DECODE_BLOCK):
         r1 = min(R, r0 + _DECODE_BLOCK)
         # group on the flags as they stand before any replica of the block is redrawn
@@ -412,36 +394,39 @@ def _decoded_blocks(streams, segments, last=False):
             if not rows.size:
                 continue
             spans, total = plans[pending]
-            words = word_buf[:rows.size, :total]
-            for i, r in enumerate(rows.tolist()):
-                words[i] = streams[r].random_raw(total)
+            keys, starts = streams.keys[rows].tolist(), read[rows].tolist()
+            words = word_buf[:rows.size * total]
+            np.concatenate([replica_generator(streams, key, w).random_raw(total)
+                            for key, w in zip(keys, starts)], out=words)
+            words = words.reshape(rows.size, total)
             start = held[rows].astype(np.uint64) if pending else None
             values, rejected, end = _decode(words, start, spans, segments, scratch)
             held[rows] = -1 if end is None else end
+            read[rows] += total
             for i in np.flatnonzero(rejected).tolist():
                 half = int(start[i]) if pending else -1
-                redrawn, held[rows[i]] = _redraw(streams[rows[i]], total, half, segments)
+                redrawn, held[rows[i]], read[rows[i]] = _redraw(streams, keys[i], starts[i], half,
+                                                                segments)
                 for out, part in zip(values, redrawn):
                     out[i] = part
             yield (slice(r0, r1) if rows.size == r1 - r0 else rows), values
-        if last:
-            streams.release(r0, r1)
 
 
-def _draw_chunk(streams, step_lo, step_hi, m_buf, code_buf, params, last):
+def _draw_chunk(streams, step_lo, step_hi, m_buf, code_buf, params):
     """Draw steps [step_lo, step_hi] into the step-major buffers (row k = step step_lo + k).
 
     The steps are one draw chunk, or from step_lo = 1 chunk 0 (step 1, which
     repeats colour 0 with probability q) and chunk 1, all read from one
-    ``random_raw`` call per replica (``last`` when no later pass follows).
+    ``random_raw`` call per replica.
     Per chunk and replica the draws are numpy's ``integers(0, highs)`` with
     highs the step count before each step, ``random(width)`` and
     ``integers(0, 2d-1, size=width)``, in that order: ``m_buf`` gets the
     remembered draws and ``code_buf`` each step's unsigned code, all ones
     where the uniform's raw word is below the chunk's repeat bound (for q or
     p) and the step repeats, else the flip draw j (0 at d = 1, where numpy
-    draws none).  The code is formed while replica-major, as j | -repeat,
-    and moved step-major in one transposed copy.
+    draws none).  A block's codes are formed step-major, as j | -repeat, from
+    transposed views of its draws, and copied into ``code_buf`` (whose
+    columns may be an index array, so the copy is an assignment).
     """
     twod = params.n_colours
     chunks = [(step_lo, step_hi, _below(params.p))]
@@ -458,20 +443,17 @@ def _draw_chunk(streams, step_lo, step_hi, m_buf, code_buf, params, last):
         flips = np.full(width if twod > 2 else 0, twod - 1, dtype=np.uint64)
         segments += [highs, width, flips]
     width = step_hi - step_lo + 1
-    block = min(len(streams.held), _DECODE_BLOCK)
-    repeats = np.empty((block, width), dtype=bool)
-    codes = np.empty((block, width), dtype=code_buf.dtype)
-    for cols, values in _decoded_blocks(streams, segments, last):
+    codes = np.empty((width, min(len(streams.held), _DECODE_BLOCK)), dtype=code_buf.dtype)
+    for cols, values in _decoded_blocks(streams, segments):
         G = len(values[1])
         for (lo, hi, bound), m, raw, j in zip(chunks, values[0::3], values[1::3], values[2::3]):
             rows = slice(lo - step_lo, hi - step_lo + 1)
             m_buf[rows.stop - m.shape[1]:rows.stop, cols] = m.T
-            code = codes[:G, rows]
-            repeat = np.less(raw, bound, out=repeats[:G, rows]).view(np.uint8)
-            np.negative(repeat, dtype=code.dtype, out=code)
+            code = codes[rows, :G]
+            np.negative(np.less(raw.T, bound, out=code), out=code)
             if twod > 2:
-                np.bitwise_or(code, j, out=code, casting="unsafe")
-        code_buf[:width, cols] = codes[:G].T
+                np.bitwise_or(code, j.T, out=code, casting="unsafe")
+            code_buf[rows, cols] = code
     return width
 
 
@@ -544,7 +526,7 @@ def simulate_replicas(
     while step <= n:
         # the first pass draws chunk 0 (step 1 alone) and chunk 1 together
         hi = min(n, step + CHUNK_STEPS - (step > 1))
-        width = _draw_chunk(streams, step, hi, m_buf, code_buf, params, hi == n)
+        width = _draw_chunk(streams, step, hi, m_buf, code_buf, params)
         for k in range(width):
             # the rows c >= r, as m < cdf[c] iff r <= c
             np.less(m_buf[k], cdf, out=mask)

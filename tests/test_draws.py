@@ -3,10 +3,10 @@
 ``simulate_replicas`` reads raw Philox words and decodes them by numpy's
 rules; these tests compare it with the per-replica ``Generator`` lockstep
 reference (``tests._oracles.lockstep_replicas``) and its decoder with
-``Generator.integers``/``random`` on the same substreams.  The simulator keys
-each replica's Philox from ``replica_keys``, a vectorized ``SeedSequence``;
-``tests._oracles.seed_sequence_generator`` is the definition it is compared
-with.
+``Generator.integers``/``random`` on the same substreams.  The simulator
+re-keys one Philox to each replica's substream, keyed by ``replica_keys``, a
+vectorized ``SeedSequence``; ``tests._oracles.seed_sequence_generator`` is
+the definition it is compared with.
 """
 
 import os
@@ -21,10 +21,11 @@ import merw
 import merw.ensemble
 from merw.ensemble import (
     _DECODE_BLOCK,
-    _ZERO_COUNTER,
     CHUNK_STEPS,
+    _decode,
     _decoded_blocks,
-    _key_seed_type,
+    _plan,
+    _scratch,
     _Substreams,
     replica_generator,
     replica_keys,
@@ -110,23 +111,22 @@ def assert_matches_lockstep(d, p, q, n, replicas, track_cm, times):
 def test_decoder_matches_numpy_where_half_the_draws_reject(monkeypatch):
     # highs in [2^31, 2^32) reject up to half of all bounded draws, so most
     # replicas are redrawn by numpy's Generator from the start of their pass and
-    # their word offsets and pending halves diverge; every decoded value, Philox
-    # counter and pending half must equal numpy's own calls on the same substream,
-    # for redrawn passes that start at each word offset in a Philox block, with
-    # and without a held half
+    # their word offsets and pending halves diverge; every decoded value, count of
+    # words read and pending half must equal numpy's own calls on the same
+    # substream, for redrawn passes that start at each word offset in a Philox
+    # block, with and without a held half
     R, seed = 2 * _DECODE_BLOCK + 44, 77  # two full decode blocks and a partial one
     rng = np.random.default_rng(5)
     streams = _Substreams(seed, R)
-    bitgens = [streams[r] for r in range(R)]
     reference = [seed_sequence_generator(seed, r) for r in range(R)]
     held = streams.held
-    replica = {id(bitgen): r for r, bitgen in enumerate(bitgens)}
+    replica = {tuple(key): r for r, key in enumerate(streams.keys.tolist())}
     redrawn = []
     real = merw.ensemble._redraw
 
-    def spying(bitgen, *args):
-        redrawn.append(replica[id(bitgen)])
-        return real(bitgen, *args)
+    def spying(streams, key, *args):
+        redrawn.append(replica[tuple(key)])
+        return real(streams, key, *args)
 
     monkeypatch.setattr(merw.ensemble, "_redraw", spying)
     starts = set()
@@ -147,12 +147,30 @@ def test_decoder_matches_numpy_where_half_the_draws_reject(monkeypatch):
             np.testing.assert_array_equal(got[2][r], gen.integers(0, 5, size=3))
             state = gen.bit_generator.state
             assert held[r] == (state["uinteger"] if state["has_uint32"] else -1)
-            mine = bitgens[r].state
-            assert mine["buffer_pos"] == state["buffer_pos"]
-            np.testing.assert_array_equal(mine["state"]["counter"], state["state"]["counter"])
+            assert streams.words[r] == _words_read(gen.bit_generator)
         if call == 0:
             assert 0 < np.count_nonzero(held >= 0) < R  # both pending groups occur next
     assert starts == {(offset, half) for offset in range(4) for half in (False, True)}
+
+
+def test_decode_compares_each_draw_with_its_own_limit():
+    # numpy rejects a draw of [0, h) iff its low product (u*h) mod 2^32 is below
+    # (2^32 - h) mod h: 1 for h = 3 and 2^31 - 1 for h = 2^31 + 1.  A low product
+    # at a column's limit - 1 is rejected and one at the limit is not, though it
+    # is below the largest limit of the segment
+    highs = np.array([3, 2**31 + 1], dtype=np.uint64)
+    limit = (2**32 - highs) % highs
+    assert limit.tolist() == [1, 2**31 - 1]
+    inverse = pow(3, -1, 2**32)  # 3 * inverse = 1 mod 2^32
+    halves = np.array([[0, 1], [inverse, 1], [inverse, 0]], dtype="<u4")  # (u for h = 3, u for h')
+    words = halves.view("<u8")
+    spans, total = _plan([highs], 0)
+    assert total == 1
+    values, rejected, held = _decode(words, None, spans, [highs], _scratch([highs], 3))
+    assert rejected.tolist() == [True, False, True]  # low products 0 | 1 | 0 for h'
+    products = halves.astype(object) * highs.astype(object)
+    np.testing.assert_array_equal(values[0], (products >> 32).astype(np.uint64))
+    assert held is None
 
 
 def _words_read(bitgen):
@@ -201,33 +219,51 @@ def test_replica_keys_refuse_bad_input():
 
 @pytest.mark.parametrize("replica", [0, 1, 2**32])
 def test_substream_state_equals_seed_sequence_philox(replica):
-    # counter, key, buffer and pending half: the whole Philox state, before any draw
+    # counter, key, buffer and pending half: the whole Philox state, before any draw and
+    # 7 words in, after the one Philox was left with a half pending by another stream
     seed = 2024
-    key = replica_keys(seed, np.array([replica], dtype=np.uint64))[0]
-    want = seed_sequence_generator(seed, replica).bit_generator.state
-    bitgen = replica_generator(key)
-    assert type(bitgen) is np.random.Philox
-    got = bitgen.state
-    for field in ("counter", "key"):
-        np.testing.assert_array_equal(got["state"][field], want["state"][field])
-    for field in ("buffer_pos", "has_uint32", "uinteger"):
-        assert got[field] == want[field]
-    bitgen.random_raw(3)
-    np.testing.assert_array_equal(_ZERO_COUNTER, np.zeros(4, dtype=np.uint64))
+    key = replica_keys(seed, np.array([replica], dtype=np.uint64))[0].tolist()
+    streams = _Substreams(seed, 1)
+    np.random.Generator(streams.bitgen).integers(0, 5, size=3)
+    want = seed_sequence_generator(seed, replica).bit_generator
+    for words in (0, 7):
+        want.random_raw(words)
+        bitgen = replica_generator(streams, key, words)
+        assert bitgen is streams.bitgen and type(bitgen) is np.random.Philox
+        got, expected = bitgen.state, want.state
+        for field in ("counter", "key"):
+            np.testing.assert_array_equal(got["state"][field], expected["state"][field])
+        np.testing.assert_array_equal(got["buffer"], expected["buffer"])
+        for field in ("buffer_pos", "has_uint32", "uinteger"):
+            assert got[field] == expected[field]
+    np.testing.assert_array_equal(bitgen.random_raw(9), want.random_raw(9))
 
 
-def test_key_seed_hands_philox_its_key_and_nothing_else():
-    key = replica_keys(5, np.arange(4))[3]
-    seed = _key_seed_type()(key)
-    np.testing.assert_array_equal(
-        replica_generator(key).random_raw(8),
-        seed_sequence_generator(5, 3).bit_generator.random_raw(8),
-    )
-    for n_words, dtype in ((2, np.uint32), (4, np.uint32), (1, np.uint64), (4, np.uint64)):
-        with pytest.raises(ValueError):
-            seed.generate_state(n_words, dtype)
-    with pytest.raises(ValueError):
-        np.random.PCG64(seed)  # asks for four uint64 words
+def test_simulate_replicas_builds_one_philox(monkeypatch):
+    # one Philox per call, re-keyed to every replica in every pass
+    calls = []
+    real = np.random.Philox
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counting)
+    seed_sequence_generator(9, 0)  # the wrapper sees the definition's own construction
+    assert len(calls) == 1
+    calls.clear()
+    passes = []
+    real_chunk = merw.ensemble._draw_chunk
+
+    def chunk(streams, *args):
+        passes.append(args[:2])
+        return real_chunk(streams, *args)
+
+    monkeypatch.setattr(merw.ensemble, "_draw_chunk", chunk)
+    simulate_replicas(ModelParams(2, "1/2"), CHUNK_STEPS + 3, [CHUNK_STEPS + 3], 9,
+                      2 * _DECODE_BLOCK + 5)
+    assert len(passes) == 2
+    assert len(calls) <= 1
 
 
 def test_simulate_replicas_builds_no_seed_sequence(monkeypatch):

@@ -431,8 +431,8 @@ def test_every_src_definition_is_used_or_exported():
 
 def test_every_src_keyword_parameter_is_passed():
     # a parameter with a default that no src call passes, by keyword or by position,
-    # only ever takes its default in src; the public API (merw.__all__), the console
-    # script's cli.main and the KeySeed.generate_state that numpy calls are exempt
+    # only ever takes its default in src; the public API (merw.__all__) and the console
+    # script's cli.main are exempt
     import merw
 
     defs, calls = [], []
@@ -454,7 +454,7 @@ def test_every_src_keyword_parameter_is_passed():
         f = call.func
         return (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) == fn.name
 
-    exempt = {"cli.main", "ensemble.KeySeed.generate_state"}
+    exempt = {"cli.main"}
     unpassed = []
     for module, owner, fn in defs:
         qualname = f"{owner}.{fn.name}" if owner else fn.name

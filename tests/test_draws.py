@@ -167,7 +167,8 @@ def test_decode_compares_each_draw_with_its_own_limit():
     spans, total = _plan([highs], 0)
     assert total == 1
     values, rejected, held = _decode(words, None, spans, [highs], _scratch([highs], 3))
-    assert rejected.tolist() == [True, False, True]  # low products 0 | 1 | 0 for h'
+    # row 0: 0 < 1 for h = 3; row 1: 1 and 2^31 + 1 pass; row 2: 0 < 2^31 - 1 for h'
+    assert rejected.tolist() == [True, False, True]
     products = halves.astype(object) * highs.astype(object)
     np.testing.assert_array_equal(values[0], (products >> 32).astype(np.uint64))
     assert held is None

@@ -80,7 +80,7 @@ _DECODE_BLOCK = 128
 _TWO32 = np.uint64(2**32)
 
 
-def replica_generator(streams, key, words: int = 0) -> np.random.Philox:
+def replica_generator(streams, key, words: int) -> np.random.Philox:
     """Re-key the one Philox of ``streams`` to a replica's substream, ``words`` words in.
 
     The substream is Philox keyed by the replica's row of :func:`replica_keys`
@@ -122,10 +122,10 @@ def replica_keys(master_seed: int, replicas) -> np.ndarray:
 
     Row i equals ``np.random.SeedSequence(master_seed, spawn_key=(r,))
     .generate_state(2, np.uint64)`` for r = replicas[i], the key that
-    :func:`replica_generator` builds replica r's Philox from.  The seed's two
-    32-bit words (zero-padded to the pool size of 4) are mixed into the pool
-    once; only the spawn words of r, one below 2^32 and two from there on, are
-    hashed per replica, over uint32 arrays.
+    :func:`replica_generator` gives the run's Philox for replica r.  The seed's
+    two 32-bit words (zero-padded to the pool size of 4) are mixed into the
+    pool once; only the spawn words of r, one below 2^32 and two from there on,
+    are hashed per replica, over uint32 arrays.
     """
     master_seed = check_integer("master_seed", master_seed, 0, 2**64 - 1)
     r = np.asarray(replicas)

@@ -1,7 +1,7 @@
 """Command-line front end: simulate, classify, spectrum, verify.
 
 Exit codes: 0 success / all gating checks passed, 1 statistical failure,
-2 usage or domain error, 3 step-budget guard, 141 stdout closed by its
+2 usage or domain error, 3 budget guard, 141 stdout closed by its
 reader (a broken pipe, as in ``merw simulate ... | head``).  Every
 randomized command is deterministic given --seed; when --seed is omitted
 one is drawn from OS entropy and printed to stderr so the run stays
@@ -21,10 +21,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .ensemble import DEFAULT_STEP_BUDGET, MAX_STEPS, grid_times, simulate_replicas
+from .ensemble import MAX_STEPS, grid_times, simulate_replicas
 from .montecarlo import BATTERIES
-from .params import (BudgetError, ModelParams, ParameterError, RegimeError, check_budget,
-                     check_integer)
+from .params import (DEFAULT_STEP_BUDGET, BudgetError, ModelParams, ParameterError, RegimeError,
+                     check_budget, check_integer)
 from .theory import classify_regime
 from .urn import mean_replacement_matrix
 
@@ -136,8 +136,13 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--replicas", type=int, default=None,
                      help="ensemble size; default depends on the battery")
     vgrid = ver.add_mutually_exclusive_group()
-    vgrid.add_argument("--fractions", type=str, default=None)
-    vgrid.add_argument("--exponents", type=str, default=None)
+    vgrid.add_argument("--fractions", type=str, default=None,
+                       help="comma list of fractions s in (0,1], times floor(s*n), one grid for "
+                            "every battery that 'all' selects; critical takes --exponents, and "
+                            "cm reads G_n at n only; default depends on the battery")
+    vgrid.add_argument("--exponents", type=str, default=None,
+                       help="comma list of exponents t in (0,1], times floor(n**t), one grid for "
+                            "every battery that 'all' selects; the grid that critical takes")
     ver.add_argument("--out", type=str, default=None, help="write the JSON report here")
     ver.add_argument("--budget", type=int, default=DEFAULT_STEP_BUDGET)
     ver.set_defaults(run=cmd_verify)
@@ -156,10 +161,6 @@ def _open_out(path: str | None):
 
 def _json_text(record: dict) -> str:
     return json.dumps(record, indent=2, allow_nan=False) + "\n"
-
-
-def _write_json(record: dict, fh) -> None:
-    fh.write(_json_text(record))
 
 
 #: Stands in for the rows of a ``--format json`` record while the rest is dumped.
@@ -312,7 +313,7 @@ def cmd_classify(args) -> int:
     report = classify_regime(params)
     record = _record("classify", args.seed, params, report.to_dict())
     with _open_out(args.out) as fh:
-        _write_json(record, fh)
+        fh.write(_json_text(record))
     return EXIT_OK
 
 
@@ -328,7 +329,7 @@ def cmd_spectrum(args) -> int:
         "lambda2_multiplicity": data.lambda2_multiplicity,
     })
     with _open_out(args.out) as fh:
-        _write_json(record, fh)
+        fh.write(_json_text(record))
     return EXIT_OK
 
 
@@ -358,7 +359,7 @@ def cmd_verify(args) -> int:
                 print(line)
         payload = reports[0].to_dict() if len(reports) == 1 else [r.to_dict() for r in reports]
         if report_fh is not None:
-            _write_json(_record("verify", seed, params, payload), report_fh)
+            report_fh.write(_json_text(_record("verify", seed, params, payload)))
     return EXIT_OK if all(r.passed for r in reports) else EXIT_STAT_FAIL
 
 

@@ -40,12 +40,13 @@ meets a rejected draw is set back to the start of its pass and redrawn by
 numpy's own ``Generator``.  ``tests/test_golden.py`` pins digests of the
 sampled paths, so drift in the kernel or in numpy's streams shows.
 
-Position moments come from exact integer snapshot sums, so summaries are
-deterministic.  The replica cross-moments sum_r x[r,t,i] x[r,s,j] are one
-float64 BLAS Gram product over the integer positions, which is exact (every
-product and partial sum is an integer below 2^53) while R * max|x|^2 < 2^53
-for the observed positions; diffusive walks have |x| ~ sqrt(n), so this holds
-with a wide margin at every default shape.  Past that guard they are summed
+Moments come from exact integer sums (``summarize``, also of the centre of
+mass's running sums), so summaries are deterministic.  The replica
+cross-moments sum_r x[r,t,i] x[r,s,j] are one float64 BLAS Gram product
+over the integer values, which is exact (every product and partial sum is
+an integer below 2^53) while R * max|x|^2 < 2^53; diffusive walks have |x|
+~ sqrt(n), so this holds with a wide margin at every default shape.  Past
+that guard (as the running sums, ~ n^(3/2), are at theirs) they are summed
 in int64 while R * max|x|^2 < 2^62, else in float64.  The per-replica snapshot
 positions are kept in the summary for median and fraction diagnostics, as an
 (R, T, d) view of a (T, d, R) array that stores a snapshot row per axis.
@@ -59,15 +60,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .params import (ModelParams, ParameterError, check_budget, check_integer, check_reals,
-                     check_sequence)
+from .params import (DEFAULT_STEP_BUDGET, ModelParams, ParameterError, check_budget,
+                     check_entries, check_integer, check_reals, check_sequence)
 from .urn import project_counts
 
 #: Steps prefetched per chunk.  Part of the determinism contract: changing it
 #: reassigns draws to steps and therefore changes sampled paths.
 CHUNK_STEPS = 1024
-
-DEFAULT_STEP_BUDGET = 10**9
 
 #: Largest horizon: the CDF rows are at most int32, and numpy draws a bounded integer
 #: with a 64-bit rule once its range reaches 2^32, which the decoder does not
@@ -205,8 +204,8 @@ class EnsembleConfig:
     Snapshot times come from either ``snapshot_fractions`` (times floor(s*n),
     for the linear-time scalings) or ``exponent_times`` (times floor(n**t),
     for the critical scaling), both validated by :func:`grid_times`.  A
-    configuration whose total step count R * n exceeds ``step_budget`` is
-    refused when it is built.
+    configuration whose R * n steps exceed ``step_budget``, or whose (T d)^2
+    covariance exceeds ``MAX_MATRIX_ENTRIES``, is refused when it is built.
     """
 
     params: ModelParams
@@ -228,7 +227,7 @@ class EnsembleConfig:
             )
         field_name = "exponent_times" if self.snapshot_fractions is None else "snapshot_fractions"
         object.__setattr__(self, field_name, check_reals(field_name, getattr(self, field_name)))
-        self.snapshot_times()  # validates the grid
+        check_entries("the snapshot covariance", len(self.snapshot_times()) * self.params.d)
 
     def snapshot_times(self) -> tuple[int, ...]:
         """Integer snapshot times implied by the grid, strictly increasing."""
@@ -239,12 +238,13 @@ class EnsembleConfig:
 
 @dataclass
 class EnsembleSummary:
-    """Position moments of the snapshots across replicas, plus the raw positions.
+    """Moments across replicas of an integer statistic at T times, plus the statistic.
 
     ``mean_position`` (T, d), ``position_cov`` (T, T, d, d) and ``mean_se``
-    (T, d) are raw integer-position moments at the T ``times``, normalized by
-    the verification layers; ``positions`` is an (R, T, d) view of a (T, d, R)
-    array.  The centre of mass is left to its battery.
+    (T, d) are the raw moments of the (R, T, d) ``positions`` at the T
+    ``times`` (:func:`summarize`), normalized by the verification layers.
+    From :func:`run_ensemble` the statistic is the snapshot positions, an
+    (R, T, d) view of a (T, d, R) array.
     """
 
     times: tuple[int, ...]
@@ -567,14 +567,11 @@ def _cross_moments(positions: np.ndarray) -> np.ndarray:
     )
 
 
-def run_ensemble(cfg: EnsembleConfig) -> EnsembleSummary:
-    """Simulate the configured ensemble and summarize its snapshot moments.
-
-    Deterministic given the configuration.
-    """
-    times = cfg.snapshot_times()
-    positions, _ = simulate_replicas(cfg.params, cfg.n, times, cfg.master_seed, cfg.replicas)
-    R = cfg.replicas
+def summarize(times, positions: np.ndarray) -> EnsembleSummary:
+    """merw's one moment reduction, of an (R, T, d) integer statistic at the T ``times``:
+    exact int64 sums, :func:`_cross_moments`, the covariance (cross - sums sums^T / R) /
+    (R - 1) and the standard error sqrt(var / R) of each mean."""
+    R = len(positions)
     sums = positions.sum(axis=0)  # (T, d) int64, exact
     mean = sums / R
     cross = _cross_moments(positions)
@@ -584,3 +581,10 @@ def run_ensemble(cfg: EnsembleConfig) -> EnsembleSummary:
     var_diag = np.einsum("ttii->ti", cov)
     se = np.sqrt(np.maximum(var_diag, 0.0) / R)
     return EnsembleSummary(times, mean, cov, se, positions)
+
+
+def run_ensemble(cfg: EnsembleConfig) -> EnsembleSummary:
+    """Simulate the configured ensemble and summarize its snapshot positions, deterministically."""
+    times = cfg.snapshot_times()
+    positions, _ = simulate_replicas(cfg.params, cfg.n, times, cfg.master_seed, cfg.replicas)
+    return summarize(times, positions)

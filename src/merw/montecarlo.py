@@ -8,23 +8,20 @@ floor where the prediction is only asymptotic (5% for diffusive variances,
 convergence rate is logarithmic).  Mean checks are centered at the exact
 finite-time mean rather than zero: the first step favours the designated
 direction, which leaves a drift of order n^(alpha - 1/2) that is resolvable
-at these replica counts even though it vanishes in the limit.
+at these replica counts even though it vanishes in the limit.  Standard
+errors use normal-theory approximations (variance SE of v*sqrt(2/(R-1)),
+covariance SE from the bivariate-normal formula), adequate for the
+Gaussian-limit statistics under test.
 
-Standard errors use normal-theory approximations (variance SE of
-v*sqrt(2/(R-1)), covariance SE from the bivariate-normal formula), which is
-adequate for the Gaussian-limit statistics under test.  The diffusive CLT and
-the critical Brownian limit share one check body and differ only in kernel,
-time scale and normalization.  That body and the centre-of-mass battery (one
-snapshot, G_n at n) build their variance, mean and cross-axis checks in one
-function, and gate each family of statistics (those, cross-time covariances,
-increments) as one array over snapshots, time pairs or axes, with the
-:mod:`merw.theory` kernel called on the snapshots and on the time pairs;
-elementwise float64 arithmetic gives the same bytes as one check at a
-time.  Superdiffusive checks use ratio statistics so that nothing needs to be
-known about the law of the non-Gaussian limit.  The SLLN and superdiffusive
-batteries share one ladder statistic, whose ratios leave out a ladder median
-of 0, and a superdiffusive second-moment ratio over a final second moment of
-0 reads 0 and fails its gate, so every report is finite.
+The diffusive CLT, critical Brownian limit and centre of mass are one runner
+over per-battery data (``_GAUSSIAN``): the statistic (snapshot positions, or
+the running sums n G_n at n) reduced by :func:`merw.ensemble.summarize`, the
+time change and normalization, the kernel and mean drift, the floors and
+notes.  Each family of checks is gated as one array, with the same bytes as
+one check at a time.  The SLLN and superdiffusive batteries share a ladder
+statistic of medians; superdiffusive checks use ratios, so nothing need be
+known of the non-Gaussian limit's law, and an undefined ratio reads 0 and
+fails its gate, so every report is finite.
 
 ``BATTERIES`` is the one registry of the batteries: each entry names its
 runner, the regime it applies to, its default shape and grid, and the
@@ -38,13 +35,13 @@ import math
 import time
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import theory
-from .ensemble import DEFAULT_STEP_BUDGET, EnsembleConfig, run_ensemble, simulate_replicas
-from .params import ModelParams, ParameterError, RegimeError
+from .ensemble import EnsembleConfig, run_ensemble, simulate_replicas, summarize
+from .params import DEFAULT_STEP_BUDGET, ModelParams, ParameterError, RegimeError
 from .theory import RegimeReport, classify_regime
 
 __all__ = [
@@ -164,112 +161,15 @@ def _checks(names, expected, observed, se, rel_floor=0.0, note="") -> list[Check
         strict=True)))
 
 
-def _variance_se(v_emp, replicas: int):
-    return abs(v_emp) * math.sqrt(2.0 / (replicas - 1))
-
-
 def _covariance_se(v1, v2, c, replicas: int):
     x = v1 * v2 + c * c
     return np.sqrt(np.where(x < 0.0, 0.0, x) / (replicas - 1))
 
 
-def _verdict(checks: Sequence[CheckResult]) -> bool:
-    return all(c.passed for c in checks if c.gating)
-
-
 def _finish(theorem, regime, cfg, checks, t0, notes=None, extras=None) -> VerificationReport:
-    return VerificationReport(
-        theorem=theorem,
-        regime=regime,
-        params=cfg.params,
-        n=cfg.n,
-        replicas=cfg.replicas,
-        master_seed=cfg.master_seed,
-        checks=checks,
-        passed=_verdict(checks),
-        runtime_seconds=time.perf_counter() - t0,
-        notes=notes or [],
-        extras=extras or {},
-    )
-
-
-def _snapshot_checks(labels, cov, var_expected, var_floor, drift, mean, mean_se, R,
-                     var_note="", prefix="") -> list[CheckResult]:
-    """Per-snapshot checks: variance and mean axis by axis, then the cross-axis covariances.
-
-    Snapshot k has the normalized (d, d) covariance ``cov[k]`` and the name
-    text ``labels[k]`` before its axis, after ``prefix``; ``var_expected``,
-    ``drift``, ``mean`` and ``mean_se`` are (T, d).  Only variances have a floor.
-    """
-    d = cov.shape[-1]
-    a, b = np.triu_indices(d, 1)  # axis pairs in itertools.combinations order
-    var, c_emp = np.diagonal(cov, 0, 1, 2), cov[:, a, b]
-    var_checks = _checks(
-        [f"{prefix}var[{label}axis={x}]" for label in labels for x in range(d)],
-        var_expected, var, _variance_se(var, R), var_floor, note=var_note)
-    mean_checks = _checks(
-        [f"{prefix}mean[{label}axis={x}]" for label in labels for x in range(d)],
-        drift, mean, mean_se, note="centered at the exact finite-time mean")
-    axis_checks = _checks(
-        [f"{prefix}cross_axis[{label}axes=({x},{y})]" for label in labels
-         for x, y in zip(a.tolist(), b.tolist())],
-        0.0, c_emp, _covariance_se(var[:, a], var[:, b], c_emp, R))
-    per_axis = [c for both in zip(var_checks, mean_checks) for c in both]
-    Q = len(a)
-    return [c for k in range(len(labels))
-            for c in per_axis[2 * d * k:2 * d * (k + 1)] + axis_checks[Q * k:Q * (k + 1)]]
-
-
-def _gaussian_checks(cfg, summary, kernel, eff, mean_div, var_div, pair_div, floors,
-                     var_note="", increments=False) -> list[CheckResult]:
-    """Checks of a Gaussian limit whose covariance is a factor times I_d.
-
-    Snapshot k (grid value k, summary column k) sits at effective time
-    ``eff[k]``; ``kernel(params, s, t)`` is evaluated at the T snapshots and
-    the time pairs i < j only, not on a full (T, T) grid.
-    The mean of snapshot k is scaled by ``mean_div[k]``, its covariance by
-    ``var_div[k]`` and the covariance of snapshots i < j by ``pair_div[i, j]``;
-    each broadcasts to its shape.  ``floors`` are the relative floors of the
-    variance and cross-time gates.  With ``increments``, each cross-time
-    check is followed by one of the decorrelation of the increment from its
-    start.  Every statistic is one (T, d), (T, axis pairs) or (time pairs, d)
-    array; the checks come out snapshot by snapshot (:func:`_snapshot_checks`),
-    then time pair by time pair, each axis by axis.
-    """
-    params, R, d = cfg.params, cfg.replicas, cfg.params.d
-    key = "s" if cfg.snapshot_fractions is not None else "t"
-    grid = cfg.snapshot_fractions if key == "s" else cfg.exponent_times
-    T = len(grid)
-    var_floor, cross_floor = floors
-    snap, axis = np.arange(T), np.arange(d)
-    i, j = np.triu_indices(T, 1)  # time pairs in itertools.combinations order
-    eff = np.asarray(eff, dtype=np.float64)
-    mean_div = np.broadcast_to(mean_div, (T,))[:, None]
-    cov = summary.position_cov
-    cov_k = cov[snap, snap] / np.broadcast_to(var_div, (T,))[:, None, None]
-    var = cov_k[:, axis, axis]
-    cross = cov[i, j][:, axis, axis] / np.broadcast_to(pair_div, (T, T))[i, j][:, None]
-    v_s, v_t = var[i], var[j]
-
-    text = [str(g) for g in grid]  # as an f-string formats them, once per value
-    pairs = [f"(s,t)=({text[x]},{text[y]})" for x, y in zip(i.tolist(), j.tolist())]
-    snapshot_checks = _snapshot_checks(
-        [f"{key}={g}, " for g in text], cov_k, kernel(params, eff, eff)[:, axis, axis],
-        var_floor, theory.mean_drift(params, summary.times) / mean_div,
-        summary.mean_position / mean_div, summary.mean_se / mean_div, R, var_note=var_note)
-    time_checks = _checks(
-        [f"cross_time[{pair}, axis={x}]" for pair in pairs for x in range(d)],
-        kernel(params, eff[i], eff[j])[:, axis, axis], cross, _covariance_se(v_s, v_t, cross, R),
-        cross_floor)
-    if increments:
-        inc = cross - v_s
-        v_diff = v_t + v_s - 2 * cross
-        inc_checks = _checks(
-            [f"increment_decorrelation[{pair}, axis={x}]" for pair in pairs for x in range(d)],
-            0.0, inc, _covariance_se(v_diff, v_s, inc, R),
-            note="cov(Z_t - Z_s, Z_s); of order 1/s at finite n, 0 in the limit")
-        time_checks = [c for both in zip(time_checks, inc_checks) for c in both]
-    return snapshot_checks + time_checks
+    return VerificationReport(theorem, regime, cfg.params, cfg.n, cfg.replicas, cfg.master_seed,
+                              checks, all(c.passed for c in checks if c.gating),
+                              time.perf_counter() - t0, notes or [], extras or {})
 
 
 def _median_ratios(medians: np.ndarray) -> tuple[np.ndarray, str]:
@@ -305,39 +205,14 @@ def _ladder(values: np.ndarray, name: str, gating: bool, note: str
 def verify_diffusive_clt(cfg: EnsembleConfig) -> VerificationReport:
     """Gaussian limit of S_{floor(sn)}/sqrt(n): variances, cross-time and
     cross-axis covariances against the diffusive kernel."""
-    t0 = time.perf_counter()
-    report = BATTERIES["clt"].check(cfg)
-    summary = run_ensemble(cfg)
-    n = cfg.n
-    checks = _gaussian_checks(
-        cfg, summary, theory.diffusive_covariance,
-        eff=[m / n for m in summary.times],
-        mean_div=math.sqrt(n),
-        var_div=n,
-        pair_div=n,
-        floors=(REL_FLOOR_VARIANCE, REL_FLOOR_CROSS_TIME),
-    )
-    return _finish("diffusive_clt", report.regime, cfg, checks, t0)
+    return _gaussian("clt", cfg)
 
 
 def verify_center_of_mass(cfg: EnsembleConfig) -> VerificationReport:
     """Gaussian limit of the center of mass G_n/sqrt(n) in the diffusive regime.
 
     G_n is taken at n, simulated here; the snapshot grid is checked but not read."""
-    t0 = time.perf_counter()
-    report = BATTERIES["cm"].check(cfg)
-    params, n, R = cfg.params, cfg.n, cfg.replicas
-    _, sums = simulate_replicas(params, n, (), cfg.master_seed, R, track_center_of_mass=True)
-    g = sums / n
-    g_mean = g.mean(axis=0)
-    centered = g - g_mean
-    cov_n = centered.T @ centered / (R - 1) / n
-    sqrt_n = math.sqrt(n)
-    checks = _snapshot_checks(
-        [""], cov_n[None], np.diagonal(theory.cm_covariance(params))[None], REL_FLOOR_VARIANCE,
-        theory.cm_mean_drift(params, n)[None] / sqrt_n, g_mean[None] / sqrt_n,
-        np.sqrt(np.maximum(np.diagonal(cov_n), 0.0) / R)[None], R, prefix="cm_")
-    return _finish("center_of_mass", report.regime, cfg, checks, t0)
+    return _gaussian("cm", cfg)
 
 
 def verify_critical(cfg: EnsembleConfig) -> VerificationReport:
@@ -351,23 +226,7 @@ def verify_critical(cfg: EnsembleConfig) -> VerificationReport:
     covariance is V(s)/s * (gamma_t/gamma_s * sqrt(s/t) - 1), of order 1/s
     (1.2e-3 V(s)/s at (s, t) = (100, 10^4), 1.1e-2 V(s)/s at (10, 100)).
     """
-    t0 = time.perf_counter()
-    report = BATTERIES["critical"].check(cfg)
-    summary = run_ensemble(cfg)
-    log_n = math.log(cfg.n)
-    norms = [math.sqrt(log_n * m) for m in summary.times]  # sqrt(log n) * n^(t_eff/2)
-    checks = _gaussian_checks(
-        cfg, summary, theory.critical_covariance,
-        eff=[math.log(m) / log_n for m in summary.times],
-        mean_div=norms,
-        var_div=[x ** 2 for x in norms],
-        pair_div=np.outer(norms, norms),
-        floors=(REL_FLOOR_CRITICAL, REL_FLOOR_CRITICAL),
-        var_note="15% floor: convergence is logarithmic",
-        increments=True,
-    )
-    notes = ["variance tolerances use a 15% relative floor (logarithmic convergence)"]
-    return _finish("critical", report.regime, cfg, checks, t0, notes=notes)
+    return _gaussian("critical", cfg)
 
 
 def verify_superdiffusive(cfg: EnsembleConfig) -> VerificationReport:
@@ -564,4 +423,125 @@ BATTERIES = {
                         kind="exponent_times"),
     "superdiffusive": Battery(verify_superdiffusive, theory.SUPERDIFFUSIVE, 128_000, 1_000,
                               tuple(2.0**-k for k in range(7, -1, -1)), min_times=3),
+}
+
+
+class _Gaussian(NamedTuple):
+    """A battery whose statistic has a Gaussian limit with covariance kernel(s, t) * I_d.
+
+    ``statistic(cfg)`` gives the :func:`summarize` moments of an (R, T, d)
+    integer statistic at T times and the T grid values that name them;
+    ``scale(n, times)`` the T effective times, the divisors of the T means and
+    the (T, T) divisors of the second moments, each broadcasting to its shape;
+    ``drift(params, times)`` the exact (T, d) mean.  A check is named
+    ``prefix``, its family and, in brackets, ``label`` with the grid value.
+    """
+
+    theorem: str
+    statistic: Callable
+    scale: Callable
+    kernel: Callable
+    drift: Callable
+    floors: tuple[float, float]
+    label: str
+    prefix: str = ""
+    var_note: str = ""
+    increments: bool = False
+    notes: tuple[str, ...] = ()
+
+
+def _gaussian(battery: str, cfg: EnsembleConfig) -> VerificationReport:
+    """Run the Gaussian battery ``battery`` from its :class:`_Gaussian` spec.
+
+    Each family is one (T, d), (T, axis pairs) or (time pairs, d) array, and
+    the kernel is evaluated at the T snapshots and the time pairs i < j only.
+    The checks come snapshot by snapshot (variance and mean axis by axis, then
+    cross-axis covariances), then time pair by time pair (cross-time covariance
+    per axis, each followed, with ``increments``, by increment decorrelation).
+    """
+    t0 = time.perf_counter()
+    spec, report = _GAUSSIAN[battery], BATTERIES[battery].check(cfg)
+    summary, grid = spec.statistic(cfg)
+    params, R, d, T = cfg.params, cfg.replicas, cfg.params.d, len(summary.times)
+    eff, mean_div, moment_div = spec.scale(cfg.n, summary.times)
+    eff, mean_div = np.asarray(eff, dtype=np.float64), np.broadcast_to(mean_div, (T,))[:, None]
+    moment_div, snap, axis = np.broadcast_to(moment_div, (T, T)), np.arange(T), np.arange(d)
+    i, j = np.triu_indices(T, 1)  # time pairs in itertools.combinations order
+    a, b = np.triu_indices(d, 1)  # axis pairs likewise
+    cov = summary.position_cov
+    cov_k = cov[snap, snap] / moment_div[snap, snap][:, None, None]
+    var, c_axes = cov_k[:, axis, axis], cov_k[:, a, b]
+    cross = cov[i, j][:, axis, axis] / moment_div[i, j][:, None]
+    v_s, v_t = var[i], var[j]
+    text = [str(g) for g in grid]  # as an f-string formats them, once per value
+    labels = [spec.label.format(g) for g in text]
+    pairs = [f"(s,t)=({text[x]},{text[y]}), " for x, y in zip(i.tolist(), j.tolist())]
+    axes = [f"axis={x}" for x in range(d)]
+
+    def named(family, places, parts):
+        return [f"{spec.prefix}{family}[{place}{part}]" for place in places for part in parts]
+
+    var_checks = _checks(named("var", labels, axes), spec.kernel(params, eff, eff)[:, axis, axis],
+                         var, np.abs(var) * math.sqrt(2.0 / (R - 1)), spec.floors[0],
+                         note=spec.var_note)
+    mean_checks = _checks(named("mean", labels, axes), spec.drift(params, summary.times) / mean_div,
+                          summary.mean_position / mean_div, summary.mean_se / mean_div,
+                          note="centered at the exact finite-time mean")
+    axis_checks = _checks(
+        named("cross_axis", labels, [f"axes=({x},{y})" for x, y in zip(a.tolist(), b.tolist())]),
+        0.0, c_axes, _covariance_se(var[:, a], var[:, b], c_axes, R))
+    time_checks = _checks(named("cross_time", pairs, axes),
+                          spec.kernel(params, eff[i], eff[j])[:, axis, axis], cross,
+                          _covariance_se(v_s, v_t, cross, R), spec.floors[1])
+    if spec.increments:
+        inc = cross - v_s
+        inc_checks = _checks(
+            named("increment_decorrelation", pairs, axes), 0.0, inc,
+            _covariance_se(v_t + v_s - 2 * cross, v_s, inc, R),
+            note="cov(Z_t - Z_s, Z_s); of order 1/s at finite n, 0 in the limit")
+        time_checks = [c for both in zip(time_checks, inc_checks) for c in both]
+    per_axis, Q = [c for both in zip(var_checks, mean_checks) for c in both], len(a)
+    checks = [c for k in range(T)
+              for c in per_axis[2 * d * k:2 * d * (k + 1)] + axis_checks[Q * k:Q * (k + 1)]]
+    return _finish(spec.theorem, report.regime, cfg, checks + time_checks, t0, list(spec.notes))
+
+
+def _snapshots(cfg: EnsembleConfig):
+    # the positions at the snapshot times, named by the grid
+    return run_ensemble(cfg), cfg.snapshot_fractions or cfg.exponent_times
+
+
+def _running_sums(cfg: EnsembleConfig):
+    # n G_n = sum_{t<=n} S_t, simulated here, as one snapshot at n: grid value 1
+    _, sums = simulate_replicas(cfg.params, cfg.n, (), cfg.master_seed, cfg.replicas,
+                                track_center_of_mass=True)
+    return summarize((cfg.n,), sums[:, None]), (1.0,)
+
+
+def _critical_scale(n: int, times):
+    # log-time, and sqrt(m log n) per snapshot, whose products divide the second moments;
+    # the variances divide by pow(x, 2), which can differ from x * x by an ulp
+    norms = [math.sqrt(math.log(n) * m) for m in times]
+    moments = np.outer(norms, norms)
+    np.fill_diagonal(moments, [x ** 2 for x in norms])
+    return [math.log(m) / math.log(n) for m in times], norms, moments
+
+
+#: The Gaussian batteries of ``BATTERIES`` as data for :func:`_gaussian`.
+_GAUSSIAN = {
+    "clt": _Gaussian(
+        "diffusive_clt", _snapshots, lambda n, times: ([m / n for m in times], math.sqrt(n), n),
+        theory.diffusive_covariance, theory.mean_drift,
+        (REL_FLOOR_VARIANCE, REL_FLOOR_CROSS_TIME), "s={}, "),
+    "cm": _Gaussian(
+        "center_of_mass", _running_sums,
+        lambda n, times: ([1.0], n ** 1.5, n ** 3.0),  # n G_n / n^(3/2) = G_n / sqrt(n)
+        lambda params, s, t: theory.cm_covariance(params)[None],  # at its one time
+        lambda params, times: times[0] * theory.cm_mean_drift(params, times[0])[None],
+        (REL_FLOOR_VARIANCE, REL_FLOOR_CROSS_TIME), "", prefix="cm_"),
+    "critical": _Gaussian(
+        "critical", _snapshots, _critical_scale, theory.critical_covariance, theory.mean_drift,
+        (REL_FLOOR_CRITICAL, REL_FLOOR_CRITICAL), "t={}, ",
+        var_note="15% floor: convergence is logarithmic", increments=True,
+        notes=("variance tolerances use a 15% relative floor (logarithmic convergence)",)),
 }

@@ -61,6 +61,19 @@ def check_reals(name: str, value) -> tuple[float, ...]:
     return tuple(map(float, items))
 
 
+DEFAULT_STEP_BUDGET = 10**9
+#: Most entries of the square arrays merw builds, the (2d)^2 mean replacement matrix and
+#: the (T d)^2 snapshot covariance (whose checks grow with it): a fixed memory bound.
+MAX_MATRIX_ENTRIES = 2**22
+
+
+def check_entries(what: str, side: int) -> None:
+    """Raise :class:`BudgetError` when a ``side`` x ``side`` array exceeds MAX_MATRIX_ENTRIES."""
+    if side * side > MAX_MATRIX_ENTRIES:
+        raise BudgetError(f"{what} would hold {side} x {side} = {side * side} entries, more "
+                          f"than the {MAX_MATRIX_ENTRIES} that merw builds")
+
+
 def check_budget(replicas: int, n: int, budget: int) -> None:
     """Raise :class:`BudgetError` when ``replicas`` runs of n steps exceed the budget (>= 1)."""
     budget = check_integer("step budget", budget, 1)

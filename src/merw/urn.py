@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .params import ModelParams, ParameterError, check_integer
+from .params import ModelParams, ParameterError, check_entries, check_integer
 
 
 def first_colour_law(q, twod: int) -> list:
@@ -96,10 +96,11 @@ def mean_replacement_matrix(params: ModelParams) -> SpectralData:
     """Construct the mean replacement matrix and its analytic spectral data.
 
     Everything is written down in closed form; no numerical eigensolver is
-    involved.
+    involved.  Past ``MAX_MATRIX_ENTRIES`` entries it raises :class:`BudgetError`.
     """
     d, p = params.d, params.p
     twod = 2 * d
+    check_entries("the mean replacement matrix", twod)
     off = (1.0 - p) / (twod - 1)
     A = np.full((twod, twod), off)
     np.fill_diagonal(A, p)

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from importlib import resources
 from pathlib import Path
 
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 from merw import cli
 from merw.cli import main
 from merw.ensemble import CHUNK_STEPS, simulate_replicas
-from merw.params import ModelParams
+from merw.params import MAX_MATRIX_ENTRIES, ModelParams
 
 
 def run_cli(capsys, *argv):
@@ -183,6 +184,28 @@ def test_simulate_budget_guard(capsys):
     )
     assert code == 3
     assert "budget" in err
+
+
+@pytest.mark.parametrize("argv, side, below", [
+    # the (2d)^2 mean replacement matrix, at the smallest d past the bound
+    pytest.param(("spectrum", "-d", "1025"), 2 * 1025, 2 * 1024, id="spectrum"),
+    # the (T d)^2 snapshot covariance, at T = 1 and the smallest d past the bound
+    pytest.param(("verify", "clt", "-d", "2049", "-n", "10", "--replicas", "2",
+                  "--fractions", "1.0"), 2049, 2048, id="verify"),
+])
+def test_square_arrays_past_the_bound_are_refused_before_they_are_built(capsys, argv, side,
+                                                                        below):
+    assert below**2 <= MAX_MATRIX_ENTRIES < side**2
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, *argv, "-p", "1/10", "--seed", "1")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and f"{side} x {side} = {side * side} entries" in err
+    assert peak < MAX_MATRIX_ENTRIES  # bytes: an eighth of one float64 array at the bound
 
 
 @pytest.mark.parametrize("budget", ["0", "-5"])

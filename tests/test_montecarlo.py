@@ -1,11 +1,13 @@
 import json
+import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from merw import montecarlo
-from merw.ensemble import EnsembleConfig
+from merw.ensemble import EnsembleConfig, simulate_replicas
 from merw.montecarlo import (
     BATTERIES,
     CheckResult,
@@ -200,6 +202,31 @@ def test_center_of_mass_simulates_g_n_itself_and_reads_no_grid(monkeypatch):
     grid = BATTERIES["cm"].config(ModelParams(2, "1/2"), 18, n=500, replicas=500,
                                   snapshot_fractions=(0.25, 0.5, 1.0))
     assert verify_center_of_mass(grid).checks == report.checks
+
+
+def test_center_of_mass_moments_are_exact_past_the_float_guard():
+    # R * max|sum_t S_t|^2 >= 2^53, so the running sums' cross moments are summed in
+    # int64; every statistic is then its exact rational value, rounded, to within one ulp
+    params, n, R, seed = ModelParams(2, "1/2"), 10_000, 2000, 19
+    _, sums = simulate_replicas(params, n, (), seed, R, track_center_of_mass=True)
+    assert R * int(np.abs(sums).max()) ** 2 >= 2**53
+    report = verify_center_of_mass(BATTERIES["cm"].config(params, seed, n=n, replicas=R))
+    x = sums.tolist()
+    total = [sum(row[k] for row in x) for k in range(2)]
+
+    def cov(k, m):  # of n G_n, read at n^3
+        cross = sum(row[k] * row[m] for row in x)
+        return (cross - Fraction(total[k] * total[m], R)) / (R - 1) / n**3
+
+    exact = {"cm_var[axis=0]": cov(0, 0), "cm_var[axis=1]": cov(1, 1),
+             "cm_cross_axis[axes=(0,1)]": cov(0, 1),
+             # n^(3/2) = 10^6
+             "cm_mean[axis=0]": Fraction(total[0], R * 10**6),
+             "cm_mean[axis=1]": Fraction(total[1], R * 10**6)}
+    observed = {c.name: c.observed for c in report.checks}
+    assert sorted(observed) == sorted(exact)
+    for name, value in exact.items():
+        assert abs(observed[name] - float(value)) <= math.ulp(float(value)), name
 
 
 # ------------------------------------------------------------ regime gates
